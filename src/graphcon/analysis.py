@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .errors import ConsistencyViolationError
 from .maps import MapModel, iterate
 from .spaces import FiniteSpace, PointRef, SequenceSpace, SpaceModel, as_fraction
 
@@ -101,7 +102,10 @@ def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample
     denom = space.distance(x, tn)
     if denom == 0:
         # x = T^n x forces T^n x = T^2n x
-        assert numer == 0, f"denominator 0 with numerator {numer} at {x!r}"
+        if numer != 0:
+            raise ConsistencyViolationError(
+                f"denominator 0 with numerator {numer} at {x!r}"
+            )
         return RatioSample(x, n, numer, denom, None)
     return RatioSample(x, n, numer, denom, numer / denom)
 
@@ -209,7 +213,8 @@ def check_iterated_class(
     When the class holds, the order-n ratio is bounded by the effective
     constant obtained by substituting y = T^n x: alpha itself for banach,
     alpha / (1 - alpha) for the other two (below 1 only when alpha < 1/2).
-    That bound against ``alpha_exact`` is asserted before returning.
+    That bound against ``alpha_exact`` is checked before returning; a
+    breach raises ConsistencyViolationError.
     """
     if not isinstance(space, FiniteSpace):
         raise TypeError("check_iterated_class needs a finite space")
@@ -244,7 +249,8 @@ def check_iterated_class(
     holds = witness is None
     if holds:
         bound = alpha_exact(space, map_, n).alpha_min
-        assert bound <= effective, (
-            f"order-{n} ratio {bound} exceeds effective constant {effective}"
-        )
+        if bound > effective:
+            raise ConsistencyViolationError(
+                f"order-{n} ratio {bound} exceeds effective constant {effective}"
+            )
     return ClassCheck(cls, n, alpha, holds, witness, effective, tightest)

@@ -12,9 +12,25 @@ import json
 import sys
 
 from . import analysis, gallery, oracle, solver
-from .errors import GraphconError, InvalidPointError
+from .errors import BadParamsError, GraphconError, InvalidPointError
 from .instances import load_instance, point_json
 from .spaces import FiniteSpace, SequenceSpace
+
+
+# least accepted value of each integer option; the engines raise a plain
+# ValueError below it, which would escape the JSON error contract
+_MIN_INT_OPTION = {"order": 1, "index_cap": 1, "max_outer": 2}
+
+
+def _check_options(args) -> None:
+    for name, low in _MIN_INT_OPTION.items():
+        value = getattr(args, name, low)
+        if value < low:
+            flag = "--" + name.replace("_", "-")
+            raise BadParamsError(f"{flag} must be at least {low}, got {value}")
+    tol = getattr(args, "tol", 1.0)
+    if not tol > 0:
+        raise BadParamsError(f"--tol must be positive, got {tol}")
 
 
 def _parse_start(space, text: str):
@@ -190,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         doc, code, summary = args.fn(args)
     except GraphconError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -55,12 +55,14 @@ class NotConvergedError(GraphconError):
 
     Happens when the map does not contract (empirical step ratios at or
     above 1) or when the underlying space has no limit to converge to.
+    ``reason`` says why the subsequence was given up, such as the ratio
+    estimate or the length of the cycle its orbit entered.
     """
 
-    def __init__(self, residue: int, last_step, gamma_hat):
+    def __init__(self, residue: int, last_step, gamma_hat, reason: str):
         super().__init__(
             f"subsequence {residue} did not converge "
-            f"(last step {last_step}, ratio estimate {gamma_hat})"
+            f"(last step {last_step}, {reason})"
         )
         self.residue = residue
         self.last_step = last_step

@@ -40,11 +40,16 @@ __all__ = ["instance_from_dict", "load_instance", "point_json", "point_name"]
 
 def _finite_from_dict(doc: dict) -> Tuple[FiniteSpace, TableMap]:
     try:
-        labels = list(doc["points"])
+        labels = doc["points"]
         rows = doc["distance"]
         mapping = doc["map"]
     except KeyError as missing:
         raise InstanceFormatError(f"finite instance lacks field {missing}") from None
+    if not isinstance(labels, list) or not isinstance(mapping, dict):
+        raise InstanceFormatError(
+            "finite instance needs 'points' as a list and 'map' as an object "
+            "from label to image"
+        )
     try:
         space = FiniteSpace.from_rows(labels, rows)
     except (TypeError, ValueError) as exc:

@@ -17,7 +17,8 @@ falls under the requested tolerance, or once the subsequence becomes
 exactly constant. On exact-arithmetic (finite) spaces only the constancy
 exit is used, so finite results carry zero residual by construction. A
 step-ratio pattern at or above 1 keeps the bound large and eventually
-surfaces as NotConvergedError.
+surfaces as NotConvergedError. On a finite space a strand that is still
+moving after |X| + 1 terms has entered a cycle, so it is given up there.
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ def advance_subsequences(
     applying T to the i-th final term lands exactly on the (i+1)-th (and
     the n-th wraps to one step past the first), which is what the solver's
     consistency checks rely on. Raises NotConvergedError if some strand
-    has not converged after ``max_outer`` terms.
+    has not converged after ``max_outer`` terms; on a finite space the
+    budget is at most ``|X| + 1`` terms, after which a strand that is not
+    constant has entered a cycle of length above 1.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -169,8 +172,12 @@ def advance_subsequences(
     seeds = [map_.space.check_point(start)]
     for _ in range(n - 1):
         seeds.append(map_.apply(seeds[-1]))
-    use_bound = not isinstance(space, FiniteSpace)
-    stoppers = [TailBoundStopper(tol, use_bound=use_bound) for _ in range(n)]
+    finite = isinstance(space, FiniteSpace)
+    if finite:
+        # the orbit of T^n has a tail of at most |X| - 1 steps, so a strand
+        # that is not constant after |X| + 1 terms cycles and never will be
+        max_outer = min(max_outer, space.size + 1)
+    stoppers = [TailBoundStopper(tol, use_bound=not finite) for _ in range(n)]
     terms = [[seed] for seed in seeds]
     current = list(seeds)
     pending = set(range(n))
@@ -187,10 +194,16 @@ def advance_subsequences(
     if pending:
         i = min(pending)
         st = stoppers[i]
+        gamma_hat = st.gamma_hat if st.gamma_hat is not None else 0.0
+        length = _cycle_length(terms[i]) if finite else None
+        if length is not None:
+            reason = f"the orbit of T^{n} enters a cycle of length {length}"
+        elif finite:
+            reason = f"no point repeats within the budget of {max_outer} terms"
+        else:
+            reason = f"ratio estimate {gamma_hat}"
         raise NotConvergedError(
-            i + 1,
-            st.steps[-1] if st.steps else None,
-            st.gamma_hat if st.gamma_hat is not None else 0.0,
+            i + 1, st.steps[-1] if st.steps else None, gamma_hat, reason
         )
     return [
         SubsequenceState(
@@ -205,6 +218,16 @@ def advance_subsequences(
         )
         for i in range(n)
     ]
+
+
+def _cycle_length(terms) -> Optional[int]:
+    """Distance between the first repeated point and its earlier copy."""
+    seen = {}
+    for idx, term in enumerate(terms):
+        if term in seen:
+            return idx - seen[term]
+        seen[term] = idx
+    return None
 
 
 class LimitCase(str, Enum):

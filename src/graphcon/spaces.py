@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import add, gt
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -75,6 +77,14 @@ def validate_finite(dist: Sequence[Sequence]) -> None:
     off-diagonal), symmetry, triangle inequality. The raised error carries
     the witnessing indices; ``TriangleViolationError`` indices ``(i, j, k)``
     mean ``d(i,j) > d(i,k) + d(k,j)``.
+
+    The triangle stage runs on integers: entries that are neither ``int``
+    nor ``Fraction`` (floats, decimals) are first converted to their exact
+    ``Fraction`` value, and the matrix is multiplied once by the least
+    common multiple of the denominators. Each row ``i`` is then compared
+    against ``d(i,k) + row k`` for every ``k`` at C level. Only a row that
+    breaks the inequality is scanned again over ``(j, k)`` in order, so the
+    witness is still the lexicographically first ``(i, j, k)``.
     """
     n = len(dist)
     for i, row in enumerate(dist):
@@ -105,15 +115,29 @@ def validate_finite(dist: Sequence[Sequence]) -> None:
                     f"d({i},{j}) = {dist[i][j]} but d({j},{i}) = {dist[j][i]}",
                     (i, j),
                 )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if dist[i][j] > dist[i][k] + dist[k][j]:
-                    raise TriangleViolationError(
-                        f"d({i},{j}) = {dist[i][j]} exceeds "
-                        f"d({i},{k}) + d({k},{j}) = {dist[i][k] + dist[k][j]}",
-                        (i, j, k),
-                    )
+    exact = [
+        [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        for row in dist
+    ]
+    den = math.lcm(*(v.denominator for row in exact for v in row))
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in exact]
+    for i, row_i in enumerate(scaled):
+        for d_ik, row_k in zip(row_i, scaled):
+            if any(map(gt, row_i, map(add, repeat(d_ik), row_k))):
+                _raise_first_triangle_violation(exact, i)
+
+
+def _raise_first_triangle_violation(dist, i: int) -> None:
+    """Raise for the first ``(j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``."""
+    row = dist[i]
+    for j in range(len(dist)):
+        for k in range(len(dist)):
+            if row[j] > row[k] + dist[k][j]:
+                raise TriangleViolationError(
+                    f"d({i},{j}) = {row[j]} exceeds "
+                    f"d({i},{k}) + d({k},{j}) = {row[k] + dist[k][j]}",
+                    (i, j, k),
+                )
 
 
 @dataclass(frozen=True)
@@ -293,7 +317,8 @@ class SequenceSpace:
         below_y, off_y = self._side_offset(self.check_point(y))
         if below_x == below_y:
             return abs(off_x - off_y)
-        return (self.b - self.a) + off_x + off_y
+        # summing the offsets first makes the result symmetric in x and y
+        return (self.b - self.a) + (off_x + off_y)
 
     def point_named(self, name: str) -> SeqPoint:
         """Resolve ``"a"``, ``"b"``, ``"x12"`` or ``"x_12"``."""

@@ -1,12 +1,14 @@
 """Contraction ratios, exact and sampled alpha, class checks."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcon import (
+    ConsistencyViolationError,
     ContractionClass,
     TableMap,
     Verdict,
@@ -64,6 +66,17 @@ class TestRatio:
         space, map_ = five_swap
         with pytest.raises(ValueError):
             ratio(space, map_, 0, 0)
+
+    def test_zero_denominator_with_nonzero_numerator_raises(self):
+        # a distance that breaks the identity axiom: d(x1, x2) = 0
+        def broken_distance(x, y):
+            return 0 if x == y or {x, y} == {0, 1} else 1
+
+        space = unit_space(3)
+        map_ = TableMap(space, (1, 2, 0))
+        broken = SimpleNamespace(distance=broken_distance)
+        with pytest.raises(ConsistencyViolationError):
+            ratio(broken, map_, 1, 0)
 
     def test_zero_denominator_forces_zero_numerator(self):
         for seed in range(30):
@@ -258,6 +271,16 @@ class TestIteratedClassCheck:
         ident = TableMap(space, (0, 1))
         res = check_iterated_class(space, ident, 1, ContractionClass.KANNAN, Fraction(2, 5))
         assert not res.holds
+
+    def test_bound_above_effective_constant_raises(self, banach_chain, monkeypatch):
+        import graphcon.analysis as analysis_mod
+
+        space, map_ = banach_chain
+        monkeypatch.setattr(
+            analysis_mod, "alpha_exact", lambda *a: SimpleNamespace(alpha_min=Fraction(1))
+        )
+        with pytest.raises(ConsistencyViolationError):
+            check_iterated_class(space, map_, 1, ContractionClass.BANACH, Fraction(1, 2))
 
     def test_alpha_range_validated(self, banach_chain):
         space, map_ = banach_chain

@@ -297,6 +297,34 @@ class TestCliGalleryAndCrosscheck:
         assert doc["error"]["type"] == "InstanceFormatError"
 
 
+class TestCliBadInput:
+    @pytest.mark.parametrize(
+        "doc_in, argv",
+        [
+            (FIVE_SWAP_DOC, ["analyze", "--order", "0"]),
+            (TWO_PHASE_DOC, ["analyze", "--order", "2", "--index-cap", "0"]),
+            (FIVE_SWAP_DOC, ["solve", "--order", "6", "--start", "x1", "--tol", "0"]),
+        ],
+        ids=["order-0", "index-cap-0", "tol-0"],
+    )
+    def test_out_of_range_option(self, tmp_path, capsys, doc_in, argv):
+        path = write_doc(tmp_path, doc_in)
+        code, doc, _ = run_cli(capsys, argv + ["--input", path])
+        assert code == 1
+        assert doc["error"]["type"] == "BadParamsError"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("map", ["x2", "x1", "x4", "x5", "x3"]), ("points", 5)],
+        ids=["map-list", "points-number"],
+    )
+    def test_malformed_finite_field(self, tmp_path, capsys, field, value):
+        path = write_doc(tmp_path, dict(FIVE_SWAP_DOC, **{field: value}))
+        code, doc, _ = run_cli(capsys, ["analyze", "--input", path, "--order", "1"])
+        assert code == 1
+        assert doc["error"]["type"] == "InstanceFormatError"
+
+
 class TestCliProcess:
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -1,6 +1,7 @@
 """Tail bound, subsequence advancement, limit classification, solve."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,24 @@ class TestSolve:
         sol = solve(space, map_, 2, space.x(1))
         expect = 1 + sum(2 * (len(st_.terms) - 1) for st_ in states)
         assert sol.iterations_used == expect
+
+    def test_finite_cycle_mismatch_gives_up_early(self):
+        # a 3-cycle at order 2: every strand of T^2 cycles with length 3
+        space = unit_space(3)
+        table = TableMap(space, (1, 2, 0))
+        applied = []
+
+        def apply(x):
+            applied.append(x)
+            return table.apply(x)
+
+        n = 2
+        with pytest.raises(NotConvergedError) as err:
+            solve(space, SimpleNamespace(space=space, apply=apply), n, 0)
+        # at most n * (|X| + 1) applications of T^n, after the n - 1 seeds
+        assert len(applied) <= (n - 1) + n * n * (space.size + 1)
+        assert "enters a cycle of length 3" in str(err.value)
+        assert "ratio estimate" not in str(err.value)
 
     def test_not_converged_propagates(self, four_cycle):
         space, map_ = four_cycle

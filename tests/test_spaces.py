@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from graphcon import (
@@ -11,6 +11,7 @@ from graphcon import (
     FiniteSpace,
     IdentityViolationError,
     InvalidPointError,
+    MetricAxiomError,
     NegativeEntryError,
     NonSquareError,
     SequenceFamily,
@@ -63,6 +64,54 @@ class TestAsFraction:
             as_fraction(object())
 
 
+def reference_triangle_scan(dist):
+    """The plain cubic triangle scan over (i, j, k) in lexicographic order."""
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][j] > dist[i][k] + dist[k][j]:
+                    raise TriangleViolationError(
+                        f"d({i},{j}) = {dist[i][j]} exceeds "
+                        f"d({i},{k}) + d({k},{j}) = {dist[i][k] + dist[k][j]}",
+                        (i, j, k),
+                    )
+
+
+def axiom_outcome(check, dist):
+    """(error type, indices, message) raised by ``check``, or None."""
+    try:
+        check(dist)
+    except MetricAxiomError as exc:
+        return type(exc), exc.indices, str(exc)
+    return None
+
+
+@st.composite
+def planted_matrices(draw):
+    """A shortest-path metric on 3..7 points with positive rational edge
+    weights, then up to three entry pairs each raised above the detour
+    through a third point. Whole entries are stored as ints."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    weight = st.builds(
+        Fraction,
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=6),
+    )
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(weight)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        d[i][j] = d[j][i] = d[i][k] + d[k][j] + draw(weight)
+    return [[int(v) if v.denominator == 1 else v for v in row] for row in d]
+
+
 class TestValidateFinite:
     def test_all_ones_5x5_ok(self):
         m = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
@@ -99,6 +148,37 @@ class TestValidateFinite:
     def test_asymmetry(self):
         with pytest.raises(SymmetryViolationError):
             validate_finite([[0, 1], [2, 0]])
+
+    @given(planted_matrices())
+    @example(  # (0, 3, 1) comes before (0, 2, 4) when k is scanned first
+        [
+            [0, 1, 3, 3, 1],
+            [1, 0, 3, 1, 2],
+            [3, 3, 0, 2, 1],
+            [3, 1, 2, 0, 2],
+            [1, 2, 1, 2, 0],
+        ]
+    )
+    def test_triangle_witness_matches_reference_scan(self, dist):
+        expected = axiom_outcome(reference_triangle_scan, dist)
+        assert axiom_outcome(validate_finite, dist) == expected
+
+    def test_mixed_int_and_fraction_entries(self):
+        half, three_halves = Fraction(1, 2), Fraction(3, 2)
+        validate_finite([[0, 1, three_halves], [1, 0, half], [three_halves, half, 0]])
+        bad = [[0, 1, Fraction(5, 2)], [1, 0, half], [Fraction(5, 2), half, 0]]
+        got = axiom_outcome(validate_finite, bad)
+        assert got == axiom_outcome(reference_triangle_scan, bad)
+        assert got[:2] == (TriangleViolationError, (0, 2, 1))
+
+    def test_float_entries_checked_exactly(self):
+        validate_finite([[0, 0.1, 0.3], [0.1, 0, 0.2], [0.3, 0.2, 0]])
+        # 0.1 + 0.2 rounds to this float, but the exact sum of the two
+        # binary values lies below it
+        top = 0.1 + 0.2
+        with pytest.raises(TriangleViolationError) as err:
+            validate_finite([[0, 0.1, top], [0.1, 0, 0.2], [top, 0.2, 0]])
+        assert err.value.indices == (0, 2, 1)
 
 
 class TestFiniteSpace:
@@ -249,6 +329,17 @@ class TestSequenceSpaceContract:
         x, y = space.x(n), space.x(m)
         assert space.distance(x, y) == space.distance(y, x)
         assert space.distance(x, y) >= 0.0
+
+    def test_distance_symmetric_exhaustive(self):
+        # (b - a) + off_x + off_y once rounded differently in the two orders
+        space, _ = four_phase()
+        x3, x210 = space.x(3), space.x(210)
+        assert space.distance(x3, x210) == space.distance(x210, x3)
+        for space, _ in (two_phase(), four_phase()):
+            points = [space.x(n) for n in range(1, 301)]
+            for i, x in enumerate(points):
+                for y in points[i + 1:]:
+                    assert space.distance(x, y) == space.distance(y, x)
 
     def test_anchor_gap_immune_to_rounding(self):
         # points this close to b are unrepresentable as absolute coords,
