@@ -61,70 +61,7 @@ from .spaces import (
     SequenceFamily,
     SequenceSpace,
     as_fraction,
-    distance,
     validate_finite,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "alpha_exact",
-    "alpha_sampled",
-    "advance_subsequences",
-    "as_fraction",
-    "build_case",
-    "cauchy_tail_bound",
-    "check_iterated_class",
-    "classify_limits",
-    "crosscheck",
-    "distance",
-    "divisors",
-    "enumerate_periodic",
-    "instance_from_dict",
-    "iterate",
-    "load_instance",
-    "orbit",
-    "point_json",
-    "prime_period",
-    "random_instance",
-    "ratio",
-    "ratio_limit_probe",
-    "run_gallery",
-    "solve",
-    "validate_finite",
-    "BadParamsError",
-    "ClassCheck",
-    "ConsistencyViolationError",
-    "ContractionClass",
-    "ContractionReport",
-    "CrosscheckResult",
-    "FiniteSpace",
-    "GALLERY_IDS",
-    "GalleryReport",
-    "GammaOutOfRangeError",
-    "GraphconError",
-    "IdentityViolationError",
-    "InstanceFormatError",
-    "InvalidPointError",
-    "LimitCase",
-    "MapModel",
-    "MetricAxiomError",
-    "NegativeEntryError",
-    "NonSquareError",
-    "NotConvergedError",
-    "OracleResult",
-    "OrbitTrace",
-    "PeriodicSolution",
-    "RatioSample",
-    "SeqPoint",
-    "SequenceFamily",
-    "SequenceSpace",
-    "ShiftMap",
-    "SubsequenceState",
-    "SymmetryViolationError",
-    "TableMap",
-    "ToleranceAmbiguityError",
-    "TriangleViolationError",
-    "UnknownIdError",
-    "Verdict",
-]

@@ -7,10 +7,10 @@ The central quantity is the order-n step ratio at a point x,
 whose supremum over the space is the least admissible contraction
 constant. On finite spaces the supremum is an exact rational maximum over
 every point; on sequence spaces it is sampled over the anchors and a
-prefix of the family, and the verdict is labelled accordingly. Sampling
-can refute (a sampled ratio above 1) but never certify an infinite space,
-so near-1 sampled suprema are reported as inconclusive rather than as
-contractions.
+prefix of the family, and the verdict is labelled accordingly. Every
+ratio is an exact rational on both kinds of space. Sampling can refute
+(a sampled ratio above 1) but never certify an infinite space, so near-1
+sampled suprema are reported as inconclusive rather than as contractions.
 """
 
 from __future__ import annotations
@@ -41,19 +41,24 @@ __all__ = [
 INCONCLUSIVE_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioSample:
     """One evaluation of the order-n ratio at a point.
 
     ``value`` is None exactly when the point is trivially satisfied
     (x = T^n x, which forces both sides of the inequality to zero).
+    The numerator is derived from ``value`` and ``denom`` rather than
+    stored, which keeps long samplings small.
     """
 
     point: PointRef
     order: int
-    numer: object
-    denom: object
-    value: object  # Fraction | float | None
+    denom: Fraction
+    value: Optional[Fraction]
+
+    @property
+    def numer(self) -> Fraction:
+        return Fraction(0) if self.value is None else self.value * self.denom
 
     @property
     def trivial(self) -> bool:
@@ -74,10 +79,10 @@ class Verdict(str, Enum):
 class ContractionReport:
     """Per-order verdict with the supporting samples.
 
-    ``exact`` is True when every point of a finite space was checked in
-    rational arithmetic; then ``alpha_min`` is the true maximum ratio.
-    Otherwise ``alpha_min`` is the sampled supremum. ``witness`` is set
-    only for NotContraction.
+    ``exact`` is True when every point of a finite space was checked;
+    then ``alpha_min`` is the true maximum ratio. Otherwise ``alpha_min``
+    is the largest ratio over the sampled points. Either way it is an
+    exact rational. ``witness`` is set only for NotContraction.
     """
 
     order: int
@@ -93,7 +98,7 @@ class ContractionReport:
 
 
 def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample:
-    """Order-n ratio at x. Exact on finite spaces, float otherwise."""
+    """Order-n ratio at x, as an exact rational."""
     if n < 1:
         raise ValueError("order must be >= 1")
     tn = iterate(map_, x, n)
@@ -106,14 +111,13 @@ def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample
             raise ConsistencyViolationError(
                 f"denominator 0 with numerator {numer} at {x!r}"
             )
-        return RatioSample(x, n, numer, denom, None)
-    return RatioSample(x, n, numer, denom, numer / denom)
+        return RatioSample(x, n, denom, None)
+    return RatioSample(x, n, denom, numer / denom)
 
 
 def _report_from_samples(order, samples, exact):
     informative = [s for s in samples if not s.trivial]
-    zero = Fraction(0) if exact else 0.0
-    alpha_min = max((s.value for s in informative), default=zero)
+    alpha_min = max((s.value for s in informative), default=Fraction(0))
     if exact:
         over = next((s for s in informative if s.value >= 1), None)
         if over is not None:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, gallery, oracle, solver
-from .errors import BadParamsError, GraphconError, InvalidPointError
+from .errors import BadParamsError, GraphconError
 from .instances import load_instance, point_json
-from .spaces import FiniteSpace, SequenceSpace
+from .spaces import FiniteSpace
 
 
 # least accepted value of each integer option; the engines raise a plain
@@ -33,19 +34,21 @@ def _check_options(args) -> None:
         raise BadParamsError(f"--tol must be positive, got {tol}")
 
 
-def _parse_start(space, text: str):
-    if isinstance(space, FiniteSpace):
-        return space.index_of(text)
-    return space.point_named(text)
+def _number(value) -> float:
+    """An exact rational as a JSON number, infinite beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _sample_json(space, s: analysis.RatioSample) -> dict:
     return {
         "point": point_json(space, s.point),
-        "numer": float(s.numer),
-        "denom": float(s.denom),
+        "numer": _number(s.numer),
+        "denom": _number(s.denom),
         "status": s.status,
-        "value": None if s.trivial else float(s.value),
+        "value": None if s.trivial else _number(s.value),
     }
 
 
@@ -57,7 +60,7 @@ def _cmd_analyze(args):
         report = analysis.alpha_sampled(space, map_, args.order, index_cap=args.index_cap)
     doc = {
         "order": report.order,
-        "alpha_min": float(report.alpha_min),
+        "alpha_min": _number(report.alpha_min),
         "exact": report.exact,
         "verdict": report.verdict.value,
         "witness": None if report.witness is None else point_json(space, report.witness),
@@ -67,14 +70,14 @@ def _cmd_analyze(args):
     mode = "exact" if report.exact else f"sampled, cap={args.index_cap}"
     summary = [
         f"order {report.order}: {report.verdict.value}, "
-        f"alpha_min={float(report.alpha_min)} ({mode})"
+        f"alpha_min={doc['alpha_min']} ({mode})"
     ]
     return doc, 0, summary
 
 
 def _cmd_solve(args):
     space, map_ = load_instance(args.input)
-    start = _parse_start(space, args.start)
+    start = space.point_named(args.start)
     sol = solver.solve(
         space,
         map_,
@@ -143,7 +146,7 @@ def _cmd_crosscheck(args):
     space, map_ = load_instance(args.input)
     if not isinstance(space, FiniteSpace):
         raise GraphconError("crosscheck needs a finite instance")
-    start = _parse_start(space, args.start)
+    start = space.point_named(args.start)
     sol = solver.solve(space, map_, args.order, start)
     cc = oracle.crosscheck(space, map_, args.order, sol)
     doc = {

@@ -22,20 +22,13 @@ Valid family ids are "example_2_3" and "example_2_4".
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import InstanceFormatError
 from .maps import MapModel, ShiftMap, TableMap
-from .spaces import (
-    FiniteSpace,
-    SeqPoint,
-    SequenceFamily,
-    SequenceSpace,
-    SpaceModel,
-)
+from .spaces import FiniteSpace, SequenceFamily, SequenceSpace, SpaceModel
 
-__all__ = ["instance_from_dict", "load_instance", "point_json", "point_name"]
+__all__ = ["instance_from_dict", "load_instance", "point_json"]
 
 
 def _finite_from_dict(doc: dict) -> Tuple[FiniteSpace, TableMap]:
@@ -52,11 +45,11 @@ def _finite_from_dict(doc: dict) -> Tuple[FiniteSpace, TableMap]:
         )
     try:
         space = FiniteSpace.from_rows(labels, rows)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"bad distance entry: {exc}") from None
     images = [None] * space.size
     for src, dst in mapping.items():
-        images[space.index_of(src)] = space.index_of(dst)
+        images[space.point_named(src)] = space.point_named(dst)
     for i, img in enumerate(images):
         if img is None:
             raise InstanceFormatError(f"map gives no image for {labels[i]!r}")
@@ -76,7 +69,7 @@ def _gallery_from_dict(doc: dict) -> Tuple[SequenceSpace, ShiftMap]:
     try:
         a = float(params["a"])
         b = float(params["b"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InstanceFormatError(
             "gallery instance needs numeric params a and b"
         ) from None
@@ -93,28 +86,23 @@ def instance_from_dict(doc: dict) -> Tuple[SpaceModel, MapModel]:
     raise InstanceFormatError(f"unknown instance kind {kind!r}")
 
 
-def load_instance(path: Union[str, Path]) -> Tuple[SpaceModel, MapModel]:
+def load_instance(path) -> Tuple[SpaceModel, MapModel]:
     """Read and build an instance from a JSON file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     return instance_from_dict(doc)
 
 
-def point_name(space: SpaceModel, point) -> str:
-    if isinstance(space, FiniteSpace):
-        return space.labels[point]
-    return point.name
-
-
 def point_json(space: SpaceModel, point):
     """JSON form of a point: label string (finite) or name+coordinate."""
     if isinstance(space, FiniteSpace):
         return space.labels[point]
-    assert isinstance(point, SeqPoint)
-    return {"name": point.name, "coord": point.coord}
+    coord = space.coord(point)  # rejects anything that is not a point of space
+    return {"name": point.name, "coord": coord}

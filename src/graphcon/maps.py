@@ -24,9 +24,6 @@ __all__ = [
     "prime_period",
 ]
 
-PERIOD_EQ_TOL = 1e-9  # coordinate slack for period detection on float spaces
-
-
 @dataclass(frozen=True)
 class TableMap:
     """Total self-map of a finite space, one image index per point."""
@@ -98,27 +95,13 @@ def orbit(map_: MapModel, x: PointRef, length: int) -> OrbitTrace:
     return OrbitTrace(x, tuple(pts), dists)
 
 
-def points_equal(map_: MapModel, x: PointRef, y: PointRef, tol: float = PERIOD_EQ_TOL) -> bool:
-    """Exact identity on finite spaces, coordinate residual on float spaces."""
-    if isinstance(map_.space, FiniteSpace):
-        return x == y
-    return map_.space.distance(x, y) <= tol
-
-
-def prime_period(
-    map_: MapModel, x: PointRef, max_p: int, tol: float = PERIOD_EQ_TOL
-) -> int | None:
-    """Least p <= max_p with T^p x = x, or None if there is none.
-
-    On sequence spaces the return test uses a coordinate tolerance, which
-    only guards rounding of the anchor parameters; the shift map returns
-    to a and b exactly.
-    """
+def prime_period(map_: MapModel, x: PointRef, max_p: int) -> int | None:
+    """Least p <= max_p with T^p x = x, or None if there is none."""
     if max_p < 1:
         raise ValueError("max_p must be >= 1")
-    y = map_.space.check_point(x)
+    y = x = map_.space.check_point(x)
     for p in range(1, max_p + 1):
         y = map_.apply(y)
-        if points_equal(map_, x, y, tol):
+        if y == x:
             return p
     return None

@@ -14,8 +14,8 @@ The solver does not know the true contraction constant. Each subsequence
 tracks an empirical ratio estimate (max of its last three step ratios,
 clamped below 1) and stops once the geometric tail bound computed from it
 falls under the requested tolerance, or once the subsequence becomes
-exactly constant. On exact-arithmetic (finite) spaces only the constancy
-exit is used, so finite results carry zero residual by construction. A
+exactly constant. On finite spaces only the constancy exit is used, so
+finite results carry zero residual by construction. A
 step-ratio pattern at or above 1 keeps the bound large and eventually
 surfaces as NotConvergedError. On a finite space a strand that is still
 moving after |X| + 1 terms has entered a cycle, so it is given up there.
@@ -23,6 +23,7 @@ moving after |X| + 1 terms has entered a cycle, so it is given up there.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -77,6 +78,16 @@ def cauchy_tail_bound(d1, gamma, k: int):
     return gamma ** (k - 1) * d1 / (1 - gamma)
 
 
+def _quotient(x, y) -> float:
+    """x / y for steps x, y > 0, to within a few ulp, also where the steps
+    lie below the smallest float: both are first scaled by the power of two
+    that brings y near 1. Costs time linear in the steps' bit length."""
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    e = max(yd.bit_length() - yn.bit_length(), 0)
+    return ((xn << e) / xd) / ((yn << e) / yd)
+
+
 class TailBoundStopper:
     """Convergence detector for one iteratively advanced subsequence.
 
@@ -84,7 +95,9 @@ class TailBoundStopper:
     convergence once the step is exactly zero (the sequence is constant
     from there on, since each term is a function of the previous one) or,
     when ``use_bound`` is set, once the empirical geometric tail bound
-    drops below ``tol``.
+    drops below ``tol``. Only the first and last steps, their count and
+    the last ``RATIO_WINDOW`` step ratios are kept: an exact step far out
+    on a sequence space has as many bits as its index.
     """
 
     def __init__(self, tol: float, use_bound: bool = True):
@@ -92,7 +105,10 @@ class TailBoundStopper:
             raise ValueError("tolerance must be positive")
         self.tol = tol
         self.use_bound = use_bound
-        self.steps: list = []
+        self.first = None
+        self.last = None
+        self.count = 0
+        self.ratios = deque(maxlen=RATIO_WINDOW)
         self.gamma_hat = None
         self.bound = None
         self.converged = False
@@ -101,11 +117,14 @@ class TailBoundStopper:
     def observe(self, step) -> bool:
         """Record d(t_k, t_{k+1}); True once convergence is established.
 
-        Steps keep being recorded after convergence (callers may advance
+        Steps keep being counted after convergence (callers may advance
         further in lockstep with slower neighbours); detection only runs
         until the first True.
         """
-        self.steps.append(step)
+        prev, self.last = self.last, step
+        self.count += 1
+        if prev is None:
+            self.first = step
         if self.converged:
             return True
         if step == 0:
@@ -114,15 +133,12 @@ class TailBoundStopper:
             if self.gamma_hat is None:
                 self.gamma_hat = 0.0
             return True
-        if not self.use_bound or len(self.steps) < 2:
+        if not self.use_bound or prev is None:
             return False
-        recent = self.steps[-(RATIO_WINDOW + 1):]
-        # every recorded step here is positive: a zero step exits above
-        g = max(recent[i] / recent[i - 1] for i in range(1, len(recent)))
-        if g > GAMMA_CAP:
-            g = GAMMA_CAP
-        self.gamma_hat = g
-        self.bound = cauchy_tail_bound(self.steps[0], g, len(self.steps) + 1)
+        # prev is positive: a zero step converges above
+        self.ratios.append(_quotient(step, prev))
+        self.gamma_hat = min(max(self.ratios), GAMMA_CAP)
+        self.bound = cauchy_tail_bound(self.first, self.gamma_hat, self.count + 1)
         if self.bound < self.tol:
             self.converged = True
         return self.converged
@@ -134,14 +150,10 @@ class SubsequenceState:
 
     residue: int
     terms: list
-    steps: list
+    last_step: object  # the exact distance between the last two terms
     gamma_hat: float
     converged: bool
     limit: Optional[PointRef]
-
-    @property
-    def last_step(self):
-        return self.steps[-1] if self.steps else None
 
 
 def advance_subsequences(
@@ -202,14 +214,12 @@ def advance_subsequences(
             reason = f"no point repeats within the budget of {max_outer} terms"
         else:
             reason = f"ratio estimate {gamma_hat}"
-        raise NotConvergedError(
-            i + 1, st.steps[-1] if st.steps else None, gamma_hat, reason
-        )
+        raise NotConvergedError(i + 1, float(st.last), gamma_hat, reason)
     return [
         SubsequenceState(
             residue=i + 1,
             terms=terms[i],
-            steps=stoppers[i].steps,
+            last_step=stoppers[i].last,
             gamma_hat=float(
                 stoppers[i].gamma_hat if stoppers[i].gamma_hat is not None else 0.0
             ),
@@ -329,7 +339,7 @@ def solve(
         gap = space.distance(map_.apply(limits[i]), limits[(i + 1) % n])
         if gap > residual_tol:
             raise ConsistencyViolationError(
-                f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {gap}; "
+                f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {float(gap)}; "
                 "the map is not continuous at the limits or the tolerances "
                 "are inconsistent"
             )
@@ -338,7 +348,7 @@ def solve(
     if residual > residual_tol:
         raise ConsistencyViolationError(
             f"representative fails to return after {period} steps "
-            f"(residual {residual})"
+            f"(residual {float(residual)})"
         )
     for q in divisors(n):
         if q >= period:

@@ -7,8 +7,8 @@ Two kinds of space are supported:
   ``fractions.Fraction`` and every comparison is exact.
 * ``SequenceSpace``: a countable subset of the real line built from one of
   two generating families (geometric approach points clustered below ``a``
-  and above ``b``), with the usual absolute-difference distance in binary
-  floating point.
+  and above ``b``), with the absolute-difference distance, computed as an
+  exact ``Fraction`` from the generating offsets.
 
 Both models are immutable after construction and safe to share across
 threads.
@@ -17,7 +17,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
@@ -37,7 +37,6 @@ from .errors import (
 __all__ = [
     "as_fraction",
     "validate_finite",
-    "distance",
     "FiniteSpace",
     "SequenceFamily",
     "SeqPoint",
@@ -173,7 +172,7 @@ class FiniteSpace:
     def points(self) -> Iterator[int]:
         return iter(range(self.size))
 
-    def index_of(self, label: str) -> int:
+    def point_named(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
@@ -202,28 +201,26 @@ class SequenceFamily(str, Enum):
     FOUR_PHASE = "example_2_4"
 
 
-def _recip_pow(base: int, k: int) -> float:
-    # int/int true division underflows to 0.0 instead of overflowing
-    if base == 2:
-        return math.ldexp(1.0, -k)
-    return 1 / (base**k)
+def _offset(base: int, k: int) -> Fraction:
+    """1 / base^k, exactly."""
+    return Fraction(1, 1 << k if base == 2 else 3**k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqPoint:
-    """A point of a ``SequenceSpace``: one of the anchors a, b or a family
-    member x_n. ``coord`` is fixed at creation by the owning space."""
+    """A point of a ``SequenceSpace``: an anchor (role ``"a"`` or ``"b"``,
+    n = 0) or the family member x_n (role ``"x"``, n >= 1). Points carry no
+    coordinate; the owning space computes distances and coordinates."""
 
     role: str  # "a" | "b" | "x"
     n: int
-    coord: float
 
     @property
     def name(self) -> str:
         return self.role if self.role in ("a", "b") else f"x{self.n}"
 
     def __repr__(self) -> str:
-        return f"SeqPoint({self.name}={self.coord})"
+        return f"SeqPoint({self.name})"
 
 
 @dataclass(frozen=True)
@@ -232,93 +229,86 @@ class SequenceSpace:
 
     Only the generating formulas are stored; points materialize on demand
     through :meth:`x`, up to ``max_index``. The anchors a and b are exact
-    members (they are the accumulation points of the family).
+    members (they are the accumulation points of the family); they must be
+    finite, with a < b and b - a a finite float.
     """
 
     family: SequenceFamily
     a: float
     b: float
     max_index: int = DEFAULT_INDEX_CAP
+    gap: Fraction = field(init=False, repr=False, compare=False)  # exact b - a
 
     def __post_init__(self):
+        if not math.isfinite(self.b - self.a):
+            raise BadParamsError(
+                f"need finite anchors and a finite gap b - a, got a={self.a}, b={self.b}"
+            )
         if not self.a < self.b:
             raise BadParamsError(f"need a < b, got a={self.a}, b={self.b}")
         if self.max_index < 1:
             raise BadParamsError("max_index must be positive")
+        object.__setattr__(self, "gap", Fraction(self.b) - Fraction(self.a))
 
     # -- point constructors -------------------------------------------------
 
     @property
     def a_point(self) -> SeqPoint:
-        return SeqPoint("a", 0, self.a)
+        return SeqPoint("a", 0)
 
     @property
     def b_point(self) -> SeqPoint:
-        return SeqPoint("b", 0, self.b)
+        return SeqPoint("b", 0)
 
     def x(self, n: int) -> SeqPoint:
         """The n-th family point (1-based)."""
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= self.max_index:
-            raise InvalidPointError(
-                f"index {n!r} outside 1..{self.max_index}"
-            )
-        return SeqPoint("x", n, self._coord(n))
-
-    def _x_side_offset(self, n: int):
-        """Family point n as (below_a, offset from its anchor)."""
-        if self.family is SequenceFamily.TWO_PHASE:
-            return n % 2 == 1, _recip_pow(2, n)
-        r = n % 4
-        if r == 1:
-            return True, _recip_pow(2, (n + 3) // 4)
-        if r == 2:
-            return False, _recip_pow(2, (n + 2) // 4)
-        if r == 3:
-            return True, _recip_pow(3, (n + 1) // 4)
-        return False, _recip_pow(3, n // 4)
-
-    def _coord(self, n: int) -> float:
-        below, off = self._x_side_offset(n)
-        return self.a - off if below else self.b + off
+        if type(n) is not int or not 1 <= n <= self.max_index:
+            raise InvalidPointError(f"index {n!r} outside 1..{self.max_index}")
+        return SeqPoint("x", n)
 
     # -- membership and distance --------------------------------------------
 
     def check_point(self, p) -> SeqPoint:
         if not isinstance(p, SeqPoint):
             raise InvalidPointError(f"{p!r} is not a point of a sequence space")
-        if p.role == "a":
-            expect = self.a
-        elif p.role == "b":
-            expect = self.b
-        elif p.role == "x":
-            if not 1 <= p.n <= self.max_index:
-                raise InvalidPointError(f"index {p.n} outside 1..{self.max_index}")
-            expect = self._coord(p.n)
+        if p.role == "x":
+            low, high = 1, self.max_index
+        elif p.role == "a" or p.role == "b":
+            low = high = 0
         else:
             raise InvalidPointError(f"unknown point role {p.role!r}")
-        if p.coord != expect:
-            raise InvalidPointError(
-                f"{p!r} does not belong to this space (expected coord {expect})"
-            )
+        if type(p.n) is not int or not low <= p.n <= high:
+            raise InvalidPointError(f"{p!r} has index {p.n!r}, outside {low}..{high}")
         return p
 
     def _side_offset(self, p: SeqPoint):
         """Locate p as (below_a, offset): a - offset or b + offset."""
-        if p.role == "a":
-            return True, 0.0
-        if p.role == "b":
-            return False, 0.0
-        return self._x_side_offset(p.n)
+        n = p.n
+        if p.role != "x":
+            return p.role == "a", Fraction(0)
+        if self.family is SequenceFamily.TWO_PHASE:
+            return n % 2 == 1, _offset(2, n)
+        r = n % 4
+        if r == 1:
+            return True, _offset(2, (n + 3) // 4)
+        if r == 2:
+            return False, _offset(2, (n + 2) // 4)
+        if r == 3:
+            return True, _offset(3, (n + 1) // 4)
+        return False, _offset(3, n // 4)
 
-    def distance(self, x, y) -> float:
-        """Absolute coordinate difference, evaluated from the generating
-        offsets so that nearby points around the anchors do not cancel."""
+    def distance(self, x, y) -> Fraction:
+        """Exact absolute coordinate difference, from the generating offsets."""
         below_x, off_x = self._side_offset(self.check_point(x))
         below_y, off_y = self._side_offset(self.check_point(y))
         if below_x == below_y:
             return abs(off_x - off_y)
-        # summing the offsets first makes the result symmetric in x and y
-        return (self.b - self.a) + (off_x + off_y)
+        return self.gap + off_x + off_y
+
+    def coord(self, p) -> float:
+        """The point's coordinate, rounded once to the nearest float."""
+        below, off = self._side_offset(self.check_point(p))
+        return float(Fraction(self.a) - off if below else Fraction(self.b) + off)
 
     def point_named(self, name: str) -> SeqPoint:
         """Resolve ``"a"``, ``"b"``, ``"x12"`` or ``"x_12"``."""
@@ -328,7 +318,8 @@ class SequenceSpace:
         if s == "b":
             return self.b_point
         body = s[1:].lstrip("_") if s[:1] == "x" else ""
-        if body.isdigit():
+        # a longer index is out of range anyway, and int() refuses 4300 digits
+        if body.isdecimal() and len(body) <= len(str(self.max_index)):
             return self.x(int(body))
         raise InvalidPointError(f"cannot parse point name {name!r}")
 
@@ -342,8 +333,3 @@ class SequenceSpace:
 
 SpaceModel = Union[FiniteSpace, SequenceSpace]
 PointRef = Union[int, SeqPoint]
-
-
-def distance(space: SpaceModel, x: PointRef, y: PointRef):
-    """Distance in ``space``; exact Fraction on finite spaces, float otherwise."""
-    return space.distance(x, y)

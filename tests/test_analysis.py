@@ -59,7 +59,7 @@ class TestRatio:
 
     def test_exact_rationals_on_finite(self, banach_chain):
         space, map_ = banach_chain
-        sample = ratio(space, map_, 2, space.index_of("c16"))
+        sample = ratio(space, map_, 2, space.point_named("c16"))
         assert sample.value == Fraction(1, 15)
 
     def test_order_validated(self, five_swap):
@@ -163,6 +163,19 @@ class TestAlphaSampled:
         rep = alpha_sampled(space, map_, 4, index_cap=200)
         assert rep.verdict is Verdict.CONTRACTION
         assert abs(rep.alpha_min - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "family, n, alpha",
+        [("two_phase", 2, Fraction(1, 4)), ("four_phase", 4, Fraction(1, 2))],
+    )
+    def test_exact_alpha_past_float_underflow(self, request, family, n, alpha):
+        # offsets 2^-k and 3^-k pass below the smallest float long before
+        # index 3000; only the anchors may be trivially satisfied
+        space, map_ = request.getfixturevalue(family)
+        rep = alpha_sampled(space, map_, n, index_cap=3000)
+        assert rep.alpha_min == alpha
+        assert rep.verdict is Verdict.CONTRACTION
+        assert rep.trivial_count == 2
 
     def test_four_phase_low_orders_refuted(self, four_phase):
         space, map_ = four_phase

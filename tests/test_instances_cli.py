@@ -313,6 +313,43 @@ class TestCliBadInput:
         assert code == 1
         assert doc["error"]["type"] == "BadParamsError"
 
+    def test_non_finite_anchors(self, tmp_path, capsys):
+        doc_in = {"kind": "gallery", "id": "example_2_3", "params": {"a": "-inf", "b": "inf"}}
+        path = write_doc(tmp_path, doc_in)
+        runs = [
+            ["analyze", "--input", path, "--order", "2"],
+            ["gallery", "--id", "example_2_3", "--a=-inf", "--b=inf"],
+        ]
+        for argv in runs:
+            code, doc, _ = run_cli(capsys, argv)
+            assert code == 1
+            assert doc["error"]["type"] == "BadParamsError"
+
+    def test_ratio_beyond_float_range(self, tmp_path, capsys):
+        # a valid metric whose order-1 ratio at p is 10^400
+        big = "1e400"
+        doc_in = dict(FIVE_SWAP_DOC, points=["p", "q", "r"],
+                      distance=[["0", "1", big], ["1", "0", big], [big, big, "0"]],
+                      map={"p": "q", "q": "r", "r": "r"})
+        path = write_doc(tmp_path, doc_in)
+        code, doc, _ = run_cli(
+            capsys, ["analyze", "--input", path, "--order", "1", "--emit-samples"]
+        )
+        assert code == 0
+        assert doc["alpha_min"] == float("inf")
+        assert doc["verdict"] == "NotContraction"
+        assert doc["samples"][0]["denom"] == 1.0
+        assert doc["samples"][0]["numer"] == float("inf")
+
+    def test_over_long_integer(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        # json refuses to parse an integer of more than 4300 digits
+        path.write_text('{"kind": "gallery", "id": "example_2_3", "params": {"a": 0, "b": 1%s}}'
+                        % ("0" * 5000))
+        code, doc, _ = run_cli(capsys, ["analyze", "--input", str(path), "--order", "2"])
+        assert code == 1
+        assert doc["error"]["type"] == "InstanceFormatError"
+
     @pytest.mark.parametrize(
         "field, value",
         [("map", ["x2", "x1", "x4", "x5", "x3"]), ("points", 5)],

@@ -22,7 +22,7 @@ from builders import unit_space
 class TestApply:
     def test_five_swap_table(self, five_swap):
         space, map_ = five_swap
-        assert map_.apply(space.index_of("x5")) == space.index_of("x3")
+        assert map_.apply(space.point_named("x5")) == space.point_named("x3")
         assert map_.apply(0) == 1
 
     def test_shift_anchors_swap(self, two_phase):
@@ -55,7 +55,7 @@ class TestApply:
 class TestIterate:
     def test_three_cycle_returns(self, five_swap):
         space, map_ = five_swap
-        x3 = space.index_of("x3")
+        x3 = space.point_named("x3")
         assert iterate(map_, x3, 3) == x3
 
     def test_zero_iterations(self, five_swap):
@@ -91,7 +91,7 @@ class TestOrbit:
         trace = orbit(map_, space.x(1), 3)
         # exact formulas: x1 = -1/2, x2 = 5/4, x3 = -1/8,
         # so the steps are 7/4 and 11/8
-        assert [p.coord for p in trace.points] == [-0.5, 1.25, -0.125]
+        assert [space.coord(p) for p in trace.points] == [-0.5, 1.25, -0.125]
         assert trace.step_dists == (1.75, 1.375)
 
     def test_trace_invariants(self, five_swap):
@@ -112,11 +112,11 @@ class TestOrbit:
 class TestPrimePeriod:
     def test_swap_pair(self, five_swap):
         space, map_ = five_swap
-        assert prime_period(map_, space.index_of("x1"), 6) == 2
+        assert prime_period(map_, space.point_named("x1"), 6) == 2
 
     def test_three_cycle(self, five_swap):
         space, map_ = five_swap
-        assert prime_period(map_, space.index_of("x4"), 6) == 3
+        assert prime_period(map_, space.point_named("x4"), 6) == 3
 
     def test_fixed_point(self):
         space = unit_space(2)

@@ -94,6 +94,14 @@ class TestTailBoundStopper:
             assert not stop.observe(1.0)
         assert stop.gamma_hat == pytest.approx(1.0, abs=1e-6)
 
+    def test_steps_below_smallest_float(self):
+        # float(step) would be 0.0 for all of these
+        stop = TailBoundStopper(1e-10)
+        assert not stop.observe(Fraction(1, 2**2000))
+        assert stop.observe(Fraction(1, 2**2002))
+        assert stop.gamma_hat == 0.25
+        assert not stop.constant
+
     def test_bound_exit_disabled(self):
         stop = TailBoundStopper(1e-10, use_bound=False)
         step = 1.0
@@ -111,7 +119,7 @@ class TestAdvanceSubsequences:
         assert all(st_.converged for st_ in states)
         # the orbit alternates between two points, so every strand is
         # constant from its seed on
-        assert all(st_.steps[-1] == 0 for st_ in states)
+        assert all(st_.last_step == 0 for st_ in states)
 
     def test_two_phase_order2(self, two_phase):
         space, map_ = two_phase
@@ -187,7 +195,7 @@ class TestClassifyLimits:
 class TestSolve:
     def test_five_swap_from_three_cycle(self, five_swap):
         space, map_ = five_swap
-        sol = solve(space, map_, 6, space.index_of("x3"))
+        sol = solve(space, map_, 6, space.point_named("x3"))
         assert sol.period == 3
         assert set(sol.cycle) == {2, 3, 4}
         assert sol.case is LimitCase.D_PERIODIC_PATTERN
@@ -204,7 +212,7 @@ class TestSolve:
         sol = solve(space, map_, 2, space.x(2))
         assert sol.period == 2
         assert sol.case is LimitCase.A_ALL_DISTINCT
-        cycle_coords = sorted(p.coord for p in sol.cycle)
+        cycle_coords = sorted(space.coord(p) for p in sol.cycle)
         assert abs(cycle_coords[0] - space.a) <= 1e-7
         assert abs(cycle_coords[1] - space.b) <= 1e-7
 
@@ -214,6 +222,16 @@ class TestSolve:
         assert sol.period == 2
         assert [p.name for p in sol.cycle] == ["a", "b"]
         assert sol.residual == 0.0
+
+    def test_two_phase_from_far_start(self, two_phase):
+        # every step from x5001 on lies below the smallest float
+        space, map_ = two_phase
+        sol = solve(space, map_, 2, space.x(5001))
+        assert sol.period == 2
+        assert sol.case is LimitCase.A_ALL_DISTINCT
+        targets = (space.a_point, space.b_point)
+        assert all(space.distance(lim, t) <= 1e-7 for lim, t in zip(sol.limits, targets))
+        assert [space.coord(p) for p in sol.cycle] == [space.a, space.b]
 
     def test_non_contracting_order_refused(self, two_phase):
         # order 1 ratios approach 1, so the tail bound never clears
@@ -241,10 +259,10 @@ class TestSolve:
     def test_order1_contraction_gives_fixed_point(self, banach_chain):
         space, map_ = banach_chain
         assert alpha_exact(space, map_, 1).verdict is Verdict.CONTRACTION
-        sol = solve(space, map_, 1, space.index_of("c16"))
+        sol = solve(space, map_, 1, space.point_named("c16"))
         assert sol.period == 1
         assert sol.case is LimitCase.B_ALL_EQUAL
-        assert sol.representative == space.index_of("c0")
+        assert sol.representative == space.point_named("c0")
 
     def test_divisor_law(self, five_swap):
         space, map_ = five_swap
@@ -279,7 +297,7 @@ class TestSolve:
                     continue
                 states = advance_subsequences(space, map_, n, 0)
                 for st_ in states:
-                    assert st_.steps[-1] == 0
+                    assert st_.last_step == 0
                 sol = solve(space, map_, n, 0)
                 assert sol.residual == 0.0
                 for i in range(n):
@@ -302,8 +320,9 @@ class TestSolve:
                     continue
                 states = advance_subsequences(space, map_, n, 0)
                 for st_ in states:
-                    for k in range(len(st_.steps) - 1):
-                        assert st_.steps[k + 1] <= rep.alpha_min * st_.steps[k]
+                    steps = [space.distance(*pair) for pair in zip(st_.terms, st_.terms[1:])]
+                    for k in range(len(steps) - 1):
+                        assert steps[k + 1] <= rep.alpha_min * steps[k]
                         checked += 1
         assert checked > 20
 

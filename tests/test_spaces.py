@@ -1,5 +1,6 @@
 """Metric-space models: axiom validation, coordinates, distances."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from graphcon import (
     MetricAxiomError,
     NegativeEntryError,
     NonSquareError,
+    SeqPoint,
     SequenceFamily,
     SequenceSpace,
     SymmetryViolationError,
@@ -194,11 +196,11 @@ class TestFiniteSpace:
         assert space.distance(2, 2) == 0
         assert space.distance(1, 4) == space.distance(4, 1)
 
-    def test_index_of(self):
+    def test_point_named(self):
         space = unit_space(3)
-        assert space.index_of("x2") == 1
+        assert space.point_named("x2") == 1
         with pytest.raises(InvalidPointError):
-            space.index_of("nope")
+            space.point_named("nope")
 
     def test_bad_point_rejected(self):
         space = unit_space(3)
@@ -219,15 +221,15 @@ class TestFiniteSpace:
 class TestTwoPhasePoints:
     def test_first_coords(self):
         space, _ = two_phase()
-        assert space.x(1).coord == -0.5
-        assert space.x(2).coord == 1.25
-        assert space.x(3).coord == -0.125
-        assert space.x(5).coord == -0.03125
+        assert space.coord(space.x(1)) == -0.5
+        assert space.coord(space.x(2)) == 1.25
+        assert space.coord(space.x(3)) == -0.125
+        assert space.coord(space.x(5)) == -0.03125
 
     @given(st.integers(min_value=1, max_value=400))
     def test_coords_match_exact_formula(self, n):
         space, _ = two_phase()
-        assert space.x(n).coord == float(two_phase_coord(0, 1, n))
+        assert space.coord(space.x(n)) == float(two_phase_coord(0, 1, n))
 
     def test_first_gap(self):
         space, _ = two_phase()
@@ -243,7 +245,7 @@ class TestTwoPhasePoints:
 
     def test_odd_points_below_a_monotone(self):
         space, _ = two_phase()
-        odd = [space.x(n).coord for n in range(1, 51, 2)]
+        odd = [space.coord(space.x(n)) for n in range(1, 51, 2)]
         assert all(c < space.a for c in odd)
         assert all(odd[i] < odd[i + 1] for i in range(len(odd) - 1))
 
@@ -251,7 +253,7 @@ class TestTwoPhasePoints:
         # coords collapse onto b once 2^-n drops under one ulp of b, so
         # the strict approach is asserted through the anchor distances
         space, _ = two_phase()
-        even_coords = [space.x(n).coord for n in range(2, 52, 2)]
+        even_coords = [space.coord(space.x(n)) for n in range(2, 52, 2)]
         assert all(c > space.b for c in even_coords)
         assert all(
             even_coords[i] > even_coords[i + 1] for i in range(len(even_coords) - 1)
@@ -273,17 +275,17 @@ class TestTwoPhasePoints:
 class TestFourPhasePoints:
     def test_third_point(self):
         space, _ = four_phase()
-        assert space.x(3).coord == float(Fraction(-1, 3))
+        assert space.coord(space.x(3)) == float(Fraction(-1, 3))
 
     @given(st.integers(min_value=1, max_value=400))
     def test_coords_match_exact_formula(self, n):
         space, _ = four_phase()
-        assert space.x(n).coord == float(four_phase_coord(0, 1, n))
+        assert space.coord(space.x(n)) == float(four_phase_coord(0, 1, n))
 
     def test_strands_interleave(self):
         space, _ = four_phase()
         # strand seeds: a-1/2, b+1/2, a-1/3, b+1/3
-        assert [space.x(n).coord for n in (1, 2, 3, 4)] == [
+        assert [space.coord(space.x(n)) for n in (1, 2, 3, 4)] == [
             -0.5,
             1.5,
             float(Fraction(-1, 3)),
@@ -298,6 +300,13 @@ class TestSequenceSpaceContract:
         with pytest.raises(BadParamsError):
             SequenceSpace(SequenceFamily.TWO_PHASE, 2.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "a, b", [(-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_requires_finite_anchors_and_gap(self, a, b):
+        with pytest.raises(BadParamsError):
+            SequenceSpace(SequenceFamily.TWO_PHASE, a, b)
+
     def test_index_cap(self):
         space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
         space.x(10)
@@ -307,10 +316,13 @@ class TestSequenceSpaceContract:
             space.x(0)
 
     def test_foreign_point_rejected(self):
-        space, _ = two_phase()
-        other = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 2.0)
-        with pytest.raises(InvalidPointError):
-            space.distance(other.x(2), space.x(2))
+        # points are bare (role, n) pairs, so only what no space of this
+        # size can hold is foreign: another type, a role, an index
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
+        other = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=20)
+        for foreign in (2, ("x", 2), SeqPoint("y", 2), SeqPoint("a", 1), other.x(11)):
+            with pytest.raises(InvalidPointError):
+                space.distance(foreign, space.x(2))
 
     def test_point_named(self):
         space, _ = two_phase()
@@ -340,6 +352,13 @@ class TestSequenceSpaceContract:
             for i, x in enumerate(points):
                 for y in points[i + 1:]:
                     assert space.distance(x, y) == space.distance(y, x)
+
+    def test_distances_positive_past_float_underflow(self):
+        # 2^-1075 is below the smallest float, yet still a distance
+        space, _ = two_phase()
+        x1075, x1077 = space.x(1075), space.x(1077)
+        assert space.distance(space.a_point, x1075) == Fraction(1, 2**1075)
+        assert space.distance(x1075, x1077) == Fraction(3, 2**1077)
 
     def test_anchor_gap_immune_to_rounding(self):
         # points this close to b are unrepresentable as absolute coords,
