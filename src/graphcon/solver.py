@@ -15,10 +15,10 @@ tracks an empirical ratio estimate (max of its last three step ratios,
 clamped below 1) and stops once the geometric tail bound computed from it
 falls under the requested tolerance, or once the subsequence becomes
 exactly constant. On finite spaces only the constancy exit is used, so
-finite results carry zero residual by construction. A
-step-ratio pattern at or above 1 keeps the bound large and eventually
-surfaces as NotConvergedError. On a finite space a strand that is still
-moving after |X| + 1 terms has entered a cycle, so it is given up there.
+finite limits are exact; limits that are all exact are compared exactly.
+A moving strand that revisits one of its own terms has entered a cycle of
+T^n and is given up on the spot. A step-ratio pattern at or above 1 keeps
+the bound large and eventually surfaces as NotConvergedError.
 """
 
 from __future__ import annotations
@@ -172,10 +172,10 @@ def advance_subsequences(
     Sharing the horizon keeps all final terms on one orbit prefix, so
     applying T to the i-th final term lands exactly on the (i+1)-th (and
     the n-th wraps to one step past the first), which is what the solver's
-    consistency checks rely on. Raises NotConvergedError if some strand
-    has not converged after ``max_outer`` terms; on a finite space the
-    budget is at most ``|X| + 1`` terms, after which a strand that is not
-    constant has entered a cycle of length above 1.
+    consistency checks rely on. Raises NotConvergedError as soon as a
+    strand that has not converged revisits one of its own terms (its orbit
+    under T^n has entered a cycle), or if some strand has not converged
+    after ``max_outer`` terms.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -184,16 +184,14 @@ def advance_subsequences(
     seeds = [map_.space.check_point(start)]
     for _ in range(n - 1):
         seeds.append(map_.apply(seeds[-1]))
-    finite = isinstance(space, FiniteSpace)
-    if finite:
-        # the orbit of T^n has a tail of at most |X| - 1 steps, so a strand
-        # that is not constant after |X| + 1 terms cycles and never will be
-        max_outer = min(max_outer, space.size + 1)
-    stoppers = [TailBoundStopper(tol, use_bound=not finite) for _ in range(n)]
+    # finite strands stop only on an exact zero step, so their limits are exact
+    use_bound = not isinstance(space, FiniteSpace)
+    stoppers = [TailBoundStopper(tol, use_bound) for _ in range(n)]
     terms = [[seed] for seed in seeds]
+    seen = [{seed: 0} for seed in seeds]  # term -> its index in the strand
     current = list(seeds)
     pending = set(range(n))
-    for _ in range(max_outer - 1):
+    for k in range(1, max_outer):
         for i in range(n):
             nxt = iterate(map_, current[i], n)
             step = space.distance(current[i], nxt)
@@ -201,43 +199,33 @@ def advance_subsequences(
             current[i] = nxt
             if stoppers[i].observe(step):
                 pending.discard(i)
+            elif nxt in seen[i]:  # still moving, yet back at an earlier term
+                raise NotConvergedError(
+                    i + 1, float(step), stoppers[i].gamma_hat,
+                    f"the orbit of T^{n} enters a cycle of length {k - seen[i][nxt]}",
+                )
+            else:
+                seen[i][nxt] = k
         if not pending:
             break
     if pending:
-        i = min(pending)
-        st = stoppers[i]
-        gamma_hat = st.gamma_hat if st.gamma_hat is not None else 0.0
-        length = _cycle_length(terms[i]) if finite else None
-        if length is not None:
-            reason = f"the orbit of T^{n} enters a cycle of length {length}"
-        elif finite:
-            reason = f"no point repeats within the budget of {max_outer} terms"
-        else:
-            reason = f"ratio estimate {gamma_hat}"
-        raise NotConvergedError(i + 1, float(st.last), gamma_hat, reason)
+        st = stoppers[min(pending)]
+        reason = (
+            f"the budget of {max_outer} terms ran out" if st.gamma_hat is None
+            else f"ratio estimate {st.gamma_hat}"
+        )
+        raise NotConvergedError(min(pending) + 1, float(st.last), st.gamma_hat, reason)
     return [
         SubsequenceState(
             residue=i + 1,
             terms=terms[i],
             last_step=stoppers[i].last,
-            gamma_hat=float(
-                stoppers[i].gamma_hat if stoppers[i].gamma_hat is not None else 0.0
-            ),
+            gamma_hat=stoppers[i].gamma_hat,
             converged=True,
             limit=terms[i][-1],
         )
         for i in range(n)
     ]
-
-
-def _cycle_length(terms) -> Optional[int]:
-    """Distance between the first repeated point and its earlier copy."""
-    seen = {}
-    for idx, term in enumerate(terms):
-        if term in seen:
-            return idx - seen[term]
-        seen[term] = idx
-    return None
 
 
 class LimitCase(str, Enum):
@@ -326,18 +314,20 @@ def solve(
     """Find a periodic point by advancing and classifying the n subsequences.
 
     After classification the solution is verified: consecutive limits must
-    chain under T within the residual tolerance (set equal to
-    ``cluster_tol``), the representative must return to itself after p
-    steps, and no proper divisor below p may already bring it back.
+    chain under T within ``cluster_tol``, the representative must return to
+    itself after p steps, and no proper divisor below p may already bring
+    it back. When every strand ended constant the limits are exact, and
+    classification and verification use tolerance 0.
     """
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
+    if all(st.last_step == 0 for st in states):
+        cluster_tol = 0
     case, period = classify_limits(space, limits, cluster_tol=cluster_tol)
-    residual_tol = cluster_tol
 
     for i in range(n):
         gap = space.distance(map_.apply(limits[i]), limits[(i + 1) % n])
-        if gap > residual_tol:
+        if gap > cluster_tol:
             raise ConsistencyViolationError(
                 f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {float(gap)}; "
                 "the map is not continuous at the limits or the tolerances "
@@ -345,7 +335,7 @@ def solve(
             )
     representative = limits[0]
     residual = space.distance(iterate(map_, representative, period), representative)
-    if residual > residual_tol:
+    if residual > cluster_tol:
         raise ConsistencyViolationError(
             f"representative fails to return after {period} steps "
             f"(residual {float(residual)})"
@@ -353,7 +343,7 @@ def solve(
     for q in divisors(n):
         if q >= period:
             break
-        if space.distance(iterate(map_, representative, q), representative) <= residual_tol:
+        if space.distance(iterate(map_, representative, q), representative) <= cluster_tol:
             raise ToleranceAmbiguityError(
                 f"representative already returns after {q} steps although "
                 f"classification chose period {period}"

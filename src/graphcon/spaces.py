@@ -54,6 +54,8 @@ def as_fraction(value) -> Fraction:
     Accepts ``Fraction``, ``int``, strings of the form ``"p/q"`` or decimal
     strings like ``"0.25"``, and floats (converted through their shortest
     decimal representation, so ``0.1`` means 1/10, not the binary float).
+    A decimal exponent past 4300 in magnitude (Python's integer-digit limit)
+    is refused with ``ValueError`` rather than built as an exact power of ten.
     """
     if isinstance(value, Fraction):
         return value
@@ -64,6 +66,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            exponent = value.lower().partition("e")[2].strip().replace("_", "")
+            if exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > 4300:
+                raise ValueError(f"decimal exponent {exponent[:20]} is out of range")
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational distance")
 
@@ -240,7 +246,11 @@ class SequenceSpace:
     gap: Fraction = field(init=False, repr=False, compare=False)  # exact b - a
 
     def __post_init__(self):
-        if not math.isfinite(self.b - self.a):
+        try:
+            finite = all(map(math.isfinite, (self.a, self.b, self.b - self.a)))
+        except OverflowError:  # an integer anchor past the float range
+            finite = False
+        if not finite:
             raise BadParamsError(
                 f"need finite anchors and a finite gap b - a, got a={self.a}, b={self.b}"
             )

@@ -19,7 +19,8 @@ class TestBuildCase:
         assert isinstance(case.space, FiniteSpace)
         assert case.space.size == 5
         assert case.map_.images == (1, 0, 3, 4, 2)
-        assert 6 in case.expected["exact_orders"]
+        names = [c.name for c in run_gallery("example_2_2").checks]
+        assert names[0] == "order6_exact"
 
     def test_sequence_cases_carry_params(self):
         case = build_case("example_2_3", a=-1.0, b=2.0)
@@ -41,6 +42,48 @@ class TestBuildCase:
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             build_case("example_2_4", a=1.0, b=1.0)
+
+
+CHECK_NAMES = {
+    "example_2_2": [
+        "order6_exact", "order1_exact", "oracle_order6",
+        "solve_order6_from_x1", "solve_order6_from_x3",
+    ],
+    "example_2_3": [
+        "order2_sampled", "order1_sampled", "solve_order2_from_x1",
+        "prime_period_a", "prime_period_b",
+    ],
+    "example_2_4": [
+        "order4_sampled", "order1_sampled", "order2_sampled", "order3_sampled",
+        "order3_ratio_at_a", "order2_probe_k15", "solve_order4_from_x1",
+        "prime_period_a", "prime_period_b",
+    ],
+    "example_2_5": [
+        "banach_iterate_bound", "kannan_iterate_bound", "chatterjea_iterate_bound",
+    ],
+}
+
+
+class TestCharacterization:
+    """The ordered check names, and that every check passes, at the default
+    anchors and at shifted ones."""
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.5, 0.25)])
+    @pytest.mark.parametrize("case_id", GALLERY_IDS)
+    def test_check_names_and_outcomes(self, case_id, a, b):
+        report = run_gallery(case_id, a=a, b=b)
+        assert [c.name for c in report.checks] == CHECK_NAMES[case_id]
+        assert all(c.ok for c in report.checks), [c for c in report.checks if not c.ok]
+        assert report.id == case_id
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.5, 0.25)])
+    @pytest.mark.parametrize("case_id", ["example_2_3", "example_2_4"])
+    def test_sequence_params(self, case_id, a, b):
+        assert run_gallery(case_id, a=a, b=b).params == {"a": a, "b": b}
+
+    @pytest.mark.parametrize("case_id", ["example_2_2", "example_2_5"])
+    def test_finite_cases_take_no_params(self, case_id):
+        assert run_gallery(case_id).params is None
 
 
 class TestRunGallery:

@@ -59,6 +59,17 @@ class TestInstanceParsing:
         space, _ = instance_from_dict(doc)
         assert space.distance(0, 1) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("entry, value", [("1e-300", Fraction(1, 10**300)), ("1e300", 10**300)])
+    def test_decimal_exponents_exact(self, entry, value):
+        doc = {
+            "kind": "finite",
+            "points": ["p", "q"],
+            "distance": [["0", entry], [entry, "0"]],
+            "map": {"p": "q", "q": "p"},
+        }
+        space, _ = instance_from_dict(doc)
+        assert space.distance(0, 1) == value
+
     def test_gallery_document(self):
         space, map_ = instance_from_dict(TWO_PHASE_DOC)
         assert isinstance(space, SequenceSpace)
@@ -289,6 +300,22 @@ class TestCliGalleryAndCrosscheck:
         assert doc["result"] == "Agree"
         assert doc["solver"]["period"] == 2
 
+    def test_crosscheck_close_pair(self, tmp_path, capsys):
+        # two points 1e-9 apart, swapped by the map: a 2-cycle, not a fixed point
+        doc = {
+            "kind": "finite",
+            "points": ["p", "q", "r"],
+            "distance": [["0", "1e-9", "1"], ["1e-9", "0", "1"], ["1", "1", "0"]],
+            "map": {"p": "q", "q": "p", "r": "r"},
+        }
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run_cli(
+            capsys, ["crosscheck", "--input", path, "--order", "2", "--start", "p"]
+        )
+        assert code == 0
+        assert out["result"] == "Agree"
+        assert out["solver"]["period"] == 2
+
     def test_missing_file(self, capsys):
         code, doc, _ = run_cli(
             capsys, ["analyze", "--input", "/no/such/file.json", "--order", "1"]
@@ -349,6 +376,19 @@ class TestCliBadInput:
         code, doc, _ = run_cli(capsys, ["analyze", "--input", str(path), "--order", "2"])
         assert code == 1
         assert doc["error"]["type"] == "InstanceFormatError"
+
+    def test_huge_decimal_exponent(self, tmp_path, capsys):
+        # Fraction would build a 415 MB integer for this entry
+        doc = {
+            "kind": "finite",
+            "points": ["p", "q"],
+            "distance": [["0", "1e999999999"], ["1e999999999", "0"]],
+            "map": {"p": "q", "q": "p"},
+        }
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run_cli(capsys, ["analyze", "--input", path, "--order", "1"])
+        assert code == 1
+        assert out["error"]["type"] == "InstanceFormatError"
 
     @pytest.mark.parametrize(
         "field, value",

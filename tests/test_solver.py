@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphcon import (
     ConsistencyViolationError,
+    FiniteSpace,
     GammaOutOfRangeError,
     LimitCase,
     NotConvergedError,
@@ -19,6 +20,7 @@ from graphcon import (
     alpha_exact,
     cauchy_tail_bound,
     classify_limits,
+    crosscheck,
     divisors,
     iterate,
     random_instance,
@@ -350,6 +352,44 @@ class TestSolve:
         assert len(applied) <= (n - 1) + n * n * (space.size + 1)
         assert "enters a cycle of length 3" in str(err.value)
         assert "ratio estimate" not in str(err.value)
+
+    @pytest.mark.parametrize("family", ["two_phase", "four_phase"])
+    def test_sequence_cycle_exits_at_once(self, family, request):
+        # T^3 swaps the anchors, so each strand from b alternates b, a, b
+        space, shift = request.getfixturevalue(family)
+        applied = []
+
+        def apply(p):
+            applied.append(p)
+            return shift.apply(p)
+
+        n = 3
+        with pytest.raises(NotConvergedError) as err:
+            solve(space, SimpleNamespace(space=space, apply=apply), n, space.b_point)
+        assert "enters a cycle of length 2" in str(err.value)
+        assert "ratio estimate" not in str(err.value)
+        # the seeds, then two rounds of T^n at most
+        assert len(applied) <= (n - 1) + 2 * n * n
+
+    def test_budget_out_before_any_ratio(self, four_cycle):
+        # no ratio is estimated on a finite space, so none is reported
+        space, map_ = four_cycle
+        with pytest.raises(NotConvergedError) as err:
+            solve(space, map_, 1, 0, max_outer=2)
+        assert err.value.gamma_hat is None
+        assert "the budget of 2 terms ran out" in str(err.value)
+        assert "ratio estimate" not in str(err.value)
+
+    def test_close_pair_keeps_its_period(self):
+        # p and q lie 1e-9 apart, inside the cluster tolerance; both strands
+        # end constant, so their limits are compared exactly
+        space = FiniteSpace.from_rows(
+            ("p", "q", "r"), [[0, "1e-9", 1], ["1e-9", 0, 1], [1, 1, 0]]
+        )
+        map_ = TableMap(space, (1, 0, 2))
+        sol = solve(space, map_, 2, 0)
+        assert (sol.period, sol.case, sol.residual) == (2, LimitCase.A_ALL_DISTINCT, 0)
+        assert crosscheck(space, map_, 2, sol).agree
 
     def test_not_converged_propagates(self, four_cycle):
         space, map_ = four_cycle

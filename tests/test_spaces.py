@@ -301,7 +301,12 @@ class TestSequenceSpaceContract:
             SequenceSpace(SequenceFamily.TWO_PHASE, 2.0, -1.0)
 
     @pytest.mark.parametrize(
-        "a, b", [(-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
+        "a, b",
+        [
+            (-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308),
+            pytest.param(0, 10**400, id="int-b-past-float-range"),
+            pytest.param(10**400, 10**400 + 1, id="int-anchors-past-float-range"),
+        ],
     )
     def test_requires_finite_anchors_and_gap(self, a, b):
         with pytest.raises(BadParamsError):
