@@ -37,7 +37,7 @@ from .errors import (
 )
 from .gallery import GALLERY_IDS, GalleryReport, build_case, run_gallery
 from .instances import instance_from_dict, load_instance, point_json
-from .maps import MapModel, OrbitTrace, ShiftMap, TableMap, iterate, orbit, prime_period
+from .maps import MapModel, ShiftMap, TableMap, iterate, prime_period
 from .oracle import (
     CrosscheckResult,
     OracleResult,

@@ -1,4 +1,4 @@
-"""Self-map models and orbit bookkeeping.
+"""Self-map models, iteration and prime periods.
 
 A map is either a full lookup table over a finite space or the shift map
 on a sequence space (each family point advances to the next index, the two
@@ -11,16 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import BadParamsError
+from .errors import BadParamsError, InvalidPointError
 from .spaces import FiniteSpace, PointRef, SeqPoint, SequenceSpace
 
 __all__ = [
     "TableMap",
     "ShiftMap",
     "MapModel",
-    "OrbitTrace",
     "iterate",
-    "orbit",
     "prime_period",
 ]
 
@@ -38,8 +36,10 @@ class TableMap:
                 f"{self.space.size} points"
             )
         for i, img in enumerate(self.images):
-            if not isinstance(img, int) or not 0 <= img < self.space.size:
-                raise BadParamsError(f"image of point {i} is {img!r}, not a point")
+            try:
+                self.space.check_point(img)
+            except InvalidPointError:
+                raise BadParamsError(f"image of point {i} is {img!r}, not a point") from None
 
     def apply(self, x: int) -> int:
         return self.images[self.space.check_point(x)]
@@ -63,15 +63,6 @@ class ShiftMap:
 MapModel = Union[TableMap, ShiftMap]
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
-    """Recorded forward orbit with the distance of each step."""
-
-    start: PointRef
-    points: tuple
-    step_dists: tuple
-
-
 def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
     """k-fold application; k = 0 returns x unchanged."""
     if k < 0:
@@ -80,19 +71,6 @@ def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
     for _ in range(k):
         y = map_.apply(y)
     return y
-
-
-def orbit(map_: MapModel, x: PointRef, length: int) -> OrbitTrace:
-    """First ``length`` orbit points starting at x, with step distances."""
-    if length < 1:
-        raise ValueError("orbit length must be >= 1")
-    pts = [map_.space.check_point(x)]
-    for _ in range(length - 1):
-        pts.append(map_.apply(pts[-1]))
-    dists = tuple(
-        map_.space.distance(pts[i], pts[i + 1]) for i in range(length - 1)
-    )
-    return OrbitTrace(x, tuple(pts), dists)
 
 
 def prime_period(map_: MapModel, x: PointRef, max_p: int) -> int | None:

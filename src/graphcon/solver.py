@@ -1,7 +1,9 @@
 """Periodic-point solver by residue-subsequence iteration.
 
 Given an order n, the forward orbit of a start point splits into n
-subsequences by index residue, each advancing by T^n from its own seed.
+subsequences by index residue: x_j = T^j x belongs to strand j mod n, so
+each strand advances by T^n. The solver walks that one orbit, one
+application of T per term, and hands each new point to its strand.
 When T contracts at order n the step distances inside each subsequence
 decay geometrically, so each subsequence is Cauchy and its limit can be
 bracketed by a geometric tail bound. The n limits chain cyclically under
@@ -112,7 +114,6 @@ class TailBoundStopper:
         self.gamma_hat = None
         self.bound = None
         self.converged = False
-        self.constant = False
 
     def observe(self, step) -> bool:
         """Record d(t_k, t_{k+1}); True once convergence is established.
@@ -129,7 +130,6 @@ class TailBoundStopper:
             return True
         if step == 0:
             self.converged = True
-            self.constant = True
             if self.gamma_hat is None:
                 self.gamma_hat = 0.0
             return True
@@ -152,7 +152,6 @@ class SubsequenceState:
     terms: list
     last_step: object  # the exact distance between the last two terms
     gamma_hat: float
-    converged: bool
     limit: Optional[PointRef]
 
 
@@ -166,37 +165,36 @@ def advance_subsequences(
 ) -> List[SubsequenceState]:
     """Advance all n residue subsequences of the orbit of ``start``.
 
-    Subsequence i seeds at T^(i-1) start and advances by T^n. The strands
-    move in lockstep: every outer iteration extends each of them by one
-    term, and the loop runs until every strand's stopping rule has fired.
-    Sharing the horizon keeps all final terms on one orbit prefix, so
-    applying T to the i-th final term lands exactly on the (i+1)-th (and
-    the n-th wraps to one step past the first), which is what the solver's
-    consistency checks rely on. Raises NotConvergedError as soon as a
-    strand that has not converged revisits one of its own terms (its orbit
-    under T^n has entered a cycle), or if some strand has not converged
-    after ``max_outer`` terms.
+    The strands interleave one orbit x_j = T^j start: strand i (0-based
+    here) holds x_i, x_{n+i}, x_{2n+i}, ... The orbit is walked one
+    application of T at a time, and x_j extends strand j mod n, so a round
+    extends every strand by one term for n applications in all. The loop
+    runs until every strand's stopping rule has fired. Sharing the horizon
+    keeps all final terms on one orbit prefix, so applying T to the i-th
+    final term lands exactly on the (i+1)-th (and the n-th wraps to one
+    step past the first), which is what the solver's consistency checks
+    rely on. Raises NotConvergedError as soon as a strand that has not
+    converged revisits one of its own terms (its orbit under T^n has
+    entered a cycle), or if some strand has not converged after
+    ``max_outer`` terms.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if max_outer < 2:
         raise ValueError("max_outer must allow at least one advance")
-    seeds = [map_.space.check_point(start)]
+    orbit = [map_.space.check_point(start)]
     for _ in range(n - 1):
-        seeds.append(map_.apply(seeds[-1]))
+        orbit.append(map_.apply(orbit[-1]))
     # finite strands stop only on an exact zero step, so their limits are exact
     use_bound = not isinstance(space, FiniteSpace)
     stoppers = [TailBoundStopper(tol, use_bound) for _ in range(n)]
-    terms = [[seed] for seed in seeds]
-    seen = [{seed: 0} for seed in seeds]  # term -> its index in the strand
-    current = list(seeds)
+    seen = [{seed: 0} for seed in orbit]  # term -> its index in the strand
     pending = set(range(n))
     for k in range(1, max_outer):
         for i in range(n):
-            nxt = iterate(map_, current[i], n)
-            step = space.distance(current[i], nxt)
-            terms[i].append(nxt)
-            current[i] = nxt
+            nxt = map_.apply(orbit[-1])
+            step = space.distance(orbit[-n], nxt)
+            orbit.append(nxt)
             if stoppers[i].observe(step):
                 pending.discard(i)
             elif nxt in seen[i]:  # still moving, yet back at an earlier term
@@ -218,11 +216,10 @@ def advance_subsequences(
     return [
         SubsequenceState(
             residue=i + 1,
-            terms=terms[i],
+            terms=orbit[i::n],
             last_step=stoppers[i].last,
             gamma_hat=stoppers[i].gamma_hat,
-            converged=True,
-            limit=terms[i][-1],
+            limit=orbit[i - n],
         )
         for i in range(n)
     ]
@@ -290,7 +287,12 @@ def classify_limits(
 
 @dataclass(frozen=True)
 class PeriodicSolution:
-    """Verified output of :func:`solve`. ``period`` always divides ``order``."""
+    """Verified output of :func:`solve`. ``period`` always divides ``order``.
+
+    ``iterations_used`` counts the applications of T made while advancing
+    the strands, one per orbit point past the start; the applications that
+    verify the limits are not included.
+    """
 
     order: int
     limits: tuple
@@ -348,7 +350,6 @@ def solve(
                 f"representative already returns after {q} steps although "
                 f"classification chose period {period}"
             )
-    iterations = (n - 1) + sum(n * (len(st.terms) - 1) for st in states)
     return PeriodicSolution(
         order=n,
         limits=tuple(limits),
@@ -357,5 +358,5 @@ def solve(
         representative=representative,
         residual=float(residual),
         cycle=tuple(limits[:period]),
-        iterations_used=iterations,
+        iterations_used=sum(len(st.terms) for st in states) - 1,
     )

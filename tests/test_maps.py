@@ -1,4 +1,4 @@
-"""Self-map application, iteration, orbits and prime periods."""
+"""Self-map application, iteration and prime periods."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from graphcon import (
     InvalidPointError,
     TableMap,
     iterate,
-    orbit,
     prime_period,
     random_instance,
 )
@@ -45,6 +44,8 @@ class TestApply:
             TableMap(space, (0, 1))
         with pytest.raises(BadParamsError):
             TableMap(space, (0, 1, 7))
+        with pytest.raises(BadParamsError):  # a bool is not a point index
+            TableMap(space, (True, 0, 1))
 
     def test_invalid_point(self, five_swap):
         _, map_ = five_swap
@@ -70,43 +71,6 @@ class TestIterate:
         _, map_ = five_swap
         with pytest.raises(ValueError):
             iterate(map_, 0, -1)
-
-
-class TestOrbit:
-    def test_swap_orbit(self, five_swap):
-        space, map_ = five_swap
-        trace = orbit(map_, 0, 4)
-        assert trace.points == (0, 1, 0, 1)
-        assert trace.step_dists == (1, 1, 1)
-
-    def test_singleton_fixed_point(self):
-        space = unit_space(1)
-        map_ = TableMap(space, (0,))
-        trace = orbit(map_, 0, 3)
-        assert trace.points == (0, 0, 0)
-        assert trace.step_dists == (0, 0)
-
-    def test_two_phase_prefix(self, two_phase):
-        space, map_ = two_phase
-        trace = orbit(map_, space.x(1), 3)
-        # exact formulas: x1 = -1/2, x2 = 5/4, x3 = -1/8,
-        # so the steps are 7/4 and 11/8
-        assert [space.coord(p) for p in trace.points] == [-0.5, 1.25, -0.125]
-        assert trace.step_dists == (1.75, 1.375)
-
-    def test_trace_invariants(self, five_swap):
-        space, map_ = five_swap
-        trace = orbit(map_, 2, 7)
-        for k in range(6):
-            assert trace.points[k + 1] == map_.apply(trace.points[k])
-            assert trace.step_dists[k] == space.distance(
-                trace.points[k], trace.points[k + 1]
-            )
-
-    def test_length_validated(self, five_swap):
-        _, map_ = five_swap
-        with pytest.raises(ValueError):
-            orbit(map_, 0, 0)
 
 
 class TestPrimePeriod:

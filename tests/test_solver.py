@@ -13,6 +13,7 @@ from graphcon import (
     GammaOutOfRangeError,
     LimitCase,
     NotConvergedError,
+    SubsequenceState,
     TableMap,
     ToleranceAmbiguityError,
     Verdict,
@@ -26,7 +27,7 @@ from graphcon import (
     random_instance,
     solve,
 )
-from graphcon.solver import TailBoundStopper
+from graphcon.solver import DEFAULT_MAX_OUTER, DEFAULT_TOL, TailBoundStopper
 
 from builders import unit_space
 
@@ -87,7 +88,7 @@ class TestTailBoundStopper:
     def test_constant_sequence_exits_immediately(self):
         stop = TailBoundStopper(1e-10)
         assert stop.observe(0.0)
-        assert stop.constant
+        assert stop.last == 0
         assert stop.gamma_hat == 0.0
 
     def test_non_contracting_never_converges(self):
@@ -102,7 +103,7 @@ class TestTailBoundStopper:
         assert not stop.observe(Fraction(1, 2**2000))
         assert stop.observe(Fraction(1, 2**2002))
         assert stop.gamma_hat == 0.25
-        assert not stop.constant
+        assert stop.last != 0
 
     def test_bound_exit_disabled(self):
         stop = TailBoundStopper(1e-10, use_bound=False)
@@ -118,7 +119,6 @@ class TestAdvanceSubsequences:
         space, map_ = five_swap
         states = advance_subsequences(space, map_, 6, 0)
         assert [st_.limit for st_ in states] == [0, 1, 0, 1, 0, 1]
-        assert all(st_.converged for st_ in states)
         # the orbit alternates between two points, so every strand is
         # constant from its seed on
         assert all(st_.last_step == 0 for st_ in states)
@@ -157,6 +157,88 @@ class TestAdvanceSubsequences:
             advance_subsequences(space, map_, 2, 0, max_outer=50)
         assert err.value.residue in (1, 2)
         assert err.value.last_step > 0
+
+
+def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
+    """The literal per-strand loop: strand i seeds at T^(i-1) start, and
+    every term is a fresh n-fold iterate of its strand's last term."""
+    seeds = [start]
+    for _ in range(n - 1):
+        seeds.append(map_.apply(seeds[-1]))
+    use_bound = not isinstance(space, FiniteSpace)
+    stoppers = [TailBoundStopper(tol, use_bound) for _ in range(n)]
+    terms = [[seed] for seed in seeds]
+    seen = [{seed: 0} for seed in seeds]
+    pending = set(range(n))
+    for k in range(1, max_outer):
+        for i in range(n):
+            nxt = iterate(map_, terms[i][-1], n)
+            step = space.distance(terms[i][-1], nxt)
+            terms[i].append(nxt)
+            if stoppers[i].observe(step):
+                pending.discard(i)
+            elif nxt in seen[i]:
+                raise NotConvergedError(
+                    i + 1, float(step), stoppers[i].gamma_hat,
+                    f"the orbit of T^{n} enters a cycle of length {k - seen[i][nxt]}",
+                )
+            else:
+                seen[i][nxt] = k
+        if not pending:
+            break
+    if pending:
+        st_ = stoppers[min(pending)]
+        reason = (
+            f"the budget of {max_outer} terms ran out" if st_.gamma_hat is None
+            else f"ratio estimate {st_.gamma_hat}"
+        )
+        raise NotConvergedError(min(pending) + 1, float(st_.last), st_.gamma_hat, reason)
+    return [
+        SubsequenceState(i + 1, t, stop.last, stop.gamma_hat, t[-1])
+        for i, (t, stop) in enumerate(zip(terms, stoppers))
+    ]
+
+
+def _outcome(advance, space, map_, n, start, max_outer):
+    """The strands' states, or the error's ("raised", residue, gamma_hat, message)."""
+    try:
+        return advance(space, map_, n, start, max_outer=max_outer)
+    except NotConvergedError as err:
+        return ("raised", err.residue, err.gamma_hat, str(err))
+
+
+class TestOrbitWalkMatchesReference:
+    def _check(self, space, map_, n, start, max_outer, kinds):
+        got = _outcome(advance_subsequences, space, map_, n, start, max_outer)
+        want = _outcome(reference_advance, space, map_, n, start, max_outer)
+        assert got == want, (n, start)
+        if got[0] != "raised":
+            kinds.add("converged")
+        elif "cycle" in got[3]:
+            kinds.add("cycle")
+        else:
+            kinds.add("budget")
+
+    def test_random_finite_instances(self):
+        kinds = set()
+        for seed in range(60):
+            space, map_ = random_instance(seed, 7)
+            for n in range(1, 5):
+                for start in space.points():
+                    self._check(space, map_, n, start, DEFAULT_MAX_OUTER, kinds)
+        assert kinds == {"converged", "cycle"}
+
+    @pytest.mark.parametrize("family", ["two_phase", "four_phase"])
+    def test_sequence_families(self, family, request):
+        # the budget only bounds the non-contracting orders; every
+        # contracting strand here converges well before it
+        space, shift = request.getfixturevalue(family)
+        starts = [space.a_point, space.b_point] + [space.x(m) for m in range(1, 11)]
+        kinds = set()
+        for n in range(1, 7):
+            for start in starts:
+                self._check(space, shift, n, start, 300, kinds)
+        assert kinds == {"converged", "cycle", "budget"}
 
 
 class TestClassifyLimits:
@@ -328,12 +410,32 @@ class TestSolve:
                         checked += 1
         assert checked > 20
 
-    def test_iterations_accounting(self, two_phase):
-        space, map_ = two_phase
-        states = advance_subsequences(space, map_, 2, space.x(1))
-        sol = solve(space, map_, 2, space.x(1))
-        expect = 1 + sum(2 * (len(st_.terms) - 1) for st_ in states)
-        assert sol.iterations_used == expect
+    def test_iterations_accounting(self, request):
+        # iterations_used counts the applications of T that advance the
+        # strands: n - 1 seeds, then n per round. Verification then adds
+        # n + period + the proper divisors of n below the period.
+        for case, n, start, used in [
+            ("two_phase", 2, "x1", 35),
+            ("four_phase", 4, "x1", 135),
+            ("four_phase", 12, "x1", 143),
+            ("five_swap", 6, "x3", 11),
+        ]:
+            space, map_ = request.getfixturevalue(case)
+            start = space.point_named(start)
+            applied = []
+
+            def apply(x):
+                applied.append(x)
+                return map_.apply(x)
+
+            counted = SimpleNamespace(space=space, apply=apply)
+            advance_subsequences(space, counted, n, start)
+            sol = solve(space, map_, n, start)
+            assert sol.iterations_used == len(applied) == used, case
+            applied.clear()
+            assert solve(space, counted, n, start) == sol
+            proper = sum(q for q in divisors(n) if q < sol.period)
+            assert len(applied) == sol.iterations_used + n + sol.period + proper, case
 
     def test_finite_cycle_mismatch_gives_up_early(self):
         # a 3-cycle at order 2: every strand of T^2 cycles with length 3
@@ -348,8 +450,8 @@ class TestSolve:
         n = 2
         with pytest.raises(NotConvergedError) as err:
             solve(space, SimpleNamespace(space=space, apply=apply), n, 0)
-        # at most n * (|X| + 1) applications of T^n, after the n - 1 seeds
-        assert len(applied) <= (n - 1) + n * n * (space.size + 1)
+        # the n - 1 seeds, then at most |X| + 1 rounds of n applications
+        assert len(applied) <= (n - 1) + n * (space.size + 1)
         assert "enters a cycle of length 3" in str(err.value)
         assert "ratio estimate" not in str(err.value)
 
@@ -368,8 +470,8 @@ class TestSolve:
             solve(space, SimpleNamespace(space=space, apply=apply), n, space.b_point)
         assert "enters a cycle of length 2" in str(err.value)
         assert "ratio estimate" not in str(err.value)
-        # the seeds, then two rounds of T^n at most
-        assert len(applied) <= (n - 1) + 2 * n * n
+        # the n - 1 seeds, then two rounds of n applications at most
+        assert len(applied) <= (n - 1) + 2 * n
 
     def test_budget_out_before_any_ratio(self, four_cycle):
         # no ratio is estimated on a finite space, so none is reported
