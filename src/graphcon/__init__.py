@@ -28,6 +28,7 @@ from .errors import (
     InvalidPointError,
     MetricAxiomError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonSquareError,
     NotConvergedError,
     SymmetryViolationError,

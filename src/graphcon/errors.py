@@ -30,6 +30,10 @@ class NonSquareError(MetricAxiomError):
     pass
 
 
+class NonFiniteEntryError(MetricAxiomError):
+    pass
+
+
 class NegativeEntryError(MetricAxiomError):
     pass
 

@@ -2,13 +2,18 @@
 
 A map is either a full lookup table over a finite space or the shift map
 on a sequence space (each family point advances to the next index, the two
-anchors swap). Iteration is by repeated application; the step counts in
-this problem domain are small.
+anchors swap). Every map gives ``T^k x`` through ``power(x, k)``.
+
+On a finite space the orbit of each point is a "rho": a tail of ``t``
+steps that runs into a cycle. ``TableMap`` finds every point's tail length,
+cycle and entry position once, in O(|X|), so ``power`` walks at most the
+tail and then indexes the cycle, whatever ``k`` is. ``ShiftMap.power``
+applies the shift ``k`` times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import BadParamsError, InvalidPointError
@@ -28,6 +33,8 @@ class TableMap:
 
     space: FiniteSpace
     images: tuple
+    # per point (t, cycle, entry): T^t x = cycle[entry], with t minimal
+    _rho: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.space.size:
@@ -40,9 +47,48 @@ class TableMap:
                 self.space.check_point(img)
             except InvalidPointError:
                 raise BadParamsError(f"image of point {i} is {img!r}, not a point") from None
+        object.__setattr__(self, "_rho", _rho_structure(self.images))
 
     def apply(self, x: int) -> int:
         return self.images[self.space.check_point(x)]
+
+    def power(self, x: int, k: int) -> int:
+        """T^k x: at most the tail is walked, then the cycle is indexed."""
+        _check_count(k)
+        t, cycle, entry = self._rho[self.space.check_point(x)]
+        if k >= t:
+            return cycle[(entry + k - t) % len(cycle)]
+        for _ in range(k):
+            x = self.images[x]
+        return x
+
+
+def _rho_structure(images: tuple) -> tuple:
+    """Tail length, cycle and cycle entry index of every point's orbit.
+
+    Each point is put on a walk once: a walk stops at the first point that
+    is already placed or already on the walk. In the second case the walk
+    has closed a new cycle; the points before it form a tail into it.
+    """
+    rho = [None] * len(images)
+    for start in range(len(images)):
+        path, on_path = [], {}
+        x = start
+        while rho[x] is None and x not in on_path:
+            on_path[x] = len(path)
+            path.append(x)
+            x = images[x]
+        if rho[x] is None:
+            s = on_path[x]
+            cycle = tuple(path[s:])
+            for i, y in enumerate(cycle):
+                rho[y] = (0, cycle, i)
+            del path[s:]
+        t, cycle, entry = rho[x]
+        for y in reversed(path):
+            t += 1
+            rho[y] = (t, cycle, entry)
+    return tuple(rho)
 
 
 @dataclass(frozen=True)
@@ -59,18 +105,38 @@ class ShiftMap:
             return self.space.a_point
         return self.space.x(p.n + 1)
 
+    def power(self, p: SeqPoint, k: int) -> SeqPoint:
+        """T^k p by k applications of the shift.
+
+        The traced benchmark checks that a solve makes exactly
+        ``iterations_used + n + period + (proper divisors below the
+        period)`` calls to ``apply``, so the arithmetic form
+        (``x_m -> x_{m+k}``, the anchors swap when ``k`` is odd) is left
+        for a change that updates that check.
+        """
+        _check_count(k)
+        p = self.space.check_point(p)
+        for _ in range(k):
+            p = self.apply(p)
+        return p
+
 
 MapModel = Union[TableMap, ShiftMap]
 
 
-def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
-    """k-fold application; k = 0 returns x unchanged."""
+def _check_count(k: int) -> None:
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    y = map_.space.check_point(x)
-    for _ in range(k):
-        y = map_.apply(y)
-    return y
+
+
+def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
+    """T^k x, that is ``map_.power(x, k)``; k = 0 returns x unchanged.
+
+    A table map reads it off its rho structure (tail, then cycle index),
+    so the cost does not grow with ``k``; the shift map applies itself
+    ``k`` times.
+    """
+    return map_.power(x, k)
 
 
 def prime_period(map_: MapModel, x: PointRef, max_p: int) -> int | None:

@@ -29,6 +29,7 @@ from .errors import (
     IdentityViolationError,
     InvalidPointError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonSquareError,
     SymmetryViolationError,
     TriangleViolationError,
@@ -74,12 +75,17 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational distance")
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+_INFINITIES = (math.inf, -math.inf)
+
+
 def validate_finite(dist: Sequence[Sequence]) -> None:
     """Check the metric axioms on a square matrix, exactly.
 
     Raises the error for the first violated axiom, scanning axioms in the
-    order: squareness, non-negativity, identity (zero diagonal, positive
-    off-diagonal), symmetry, triangle inequality. The raised error carries
+    order: squareness, finiteness (no infinite or NaN entry),
+    non-negativity, identity (zero diagonal, positive off-diagonal),
+    symmetry, triangle inequality. The raised error carries
     the witnessing indices; ``TriangleViolationError`` indices ``(i, j, k)``
     mean ``d(i,j) > d(i,k) + d(k,j)``.
 
@@ -97,6 +103,14 @@ def validate_finite(dist: Sequence[Sequence]) -> None:
             raise NonSquareError(
                 f"row {i} has {len(row)} entries, expected {n}", (i,)
             )
+    for i, row in enumerate(dist):
+        # an int or a Fraction is always finite, so most rows skip the scan
+        if not _EXACT_TYPES.issuperset(map(type, row)):
+            for j, v in enumerate(row):
+                if v != v or v in _INFINITIES:  # v != v only for NaN
+                    raise NonFiniteEntryError(
+                        f"d({i},{j}) = {v} is not a finite number", (i, j)
+                    )
     for i in range(n):
         for j in range(n):
             if dist[i][j] < 0:
@@ -161,6 +175,8 @@ class FiniteSpace:
             raise NonSquareError(
                 f"{len(self.labels)} labels but {len(self.dist)} rows", ()
             )
+        if not self.labels:
+            raise BadParamsError("a finite space needs at least one point")
         if len(set(self.labels)) != len(self.labels):
             raise BadParamsError("point labels must be distinct")
         validate_finite(self.dist)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import graphcon
 
+from builders import two_phase
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -40,3 +42,22 @@ def test_install_and_uninstall_restore_originals():
         hooks.uninstall()
     assert not hooks.installed
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_traced_solve_counts_the_applications_the_benchmark_expects():
+    # bench/workloads.py checks this count on every traced sequence solve:
+    # the strands' applications, then n + period + the proper divisors of
+    # n below the period for the verification
+    tracer = load_tracer()
+    space, map_ = two_phase()
+    n = 2
+    for start in (space.x(1), space.x(2), space.a_point):
+        hooks = tracer.Tracer()
+        hooks.install()
+        try:
+            sol = graphcon.solve(space, map_, n, start)
+            applies = hooks.calls("maps.apply")
+        finally:
+            hooks.uninstall()
+        proper = sum(q for q in range(1, sol.period) if n % q == 0)
+        assert applies == sol.iterations_used + n + sol.period + proper, start

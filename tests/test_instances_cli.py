@@ -402,6 +402,16 @@ class TestCliBadInput:
         assert doc["error"]["type"] == "InstanceFormatError"
 
 
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_empty_finite_space(self, tmp_path, capsys, command):
+        # an empty space has no periodic point, so the oracle would report
+        # that the theorem failed
+        path = write_doc(tmp_path, dict(FIVE_SWAP_DOC, points=[], distance=[], map={}))
+        code, doc, _ = run_cli(capsys, [command, "--input", path, "--order", "1"])
+        assert code == 1
+        assert doc["error"]["type"] == "BadParamsError"
+
+
 class TestCliProcess:
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -15,7 +15,15 @@ from graphcon import (
     random_instance,
 )
 
-from builders import unit_space
+from builders import four_phase, two_phase, unit_space
+
+
+def literal_powers(map_, x, count):
+    """x, T x, T^2 x, ... by literal application, ``count`` points."""
+    out = [x]
+    while len(out) < count:
+        out.append(map_.apply(out[-1]))
+    return out
 
 
 class TestApply:
@@ -71,6 +79,64 @@ class TestIterate:
         _, map_ = five_swap
         with pytest.raises(ValueError):
             iterate(map_, 0, -1)
+
+
+class TestPower:
+    def test_matches_literal_apply_on_random_instances(self):
+        for seed in range(200):
+            space, map_ = random_instance(seed, 12)
+            for x in space.points():
+                expected = literal_powers(map_, x, 2 * space.size + 2)
+                got = [map_.power(x, k) for k in range(len(expected))]
+                assert got == expected, (seed, x)
+
+    def test_fixed_point(self):
+        space = unit_space(1)
+        map_ = TableMap(space, (0,))
+        assert all(map_.power(0, k) == 0 for k in (0, 1, 2, 10**18))
+
+    def test_pure_cycle(self, four_cycle):
+        _, map_ = four_cycle
+        for x in range(4):
+            for k in list(range(13)) + [10**18 + 3]:
+                assert map_.power(x, k) == (x + k) % 4
+
+    def test_tail_longer_than_cycle(self):
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 4: a tail of four steps into a 2-cycle
+        space = unit_space(6)
+        map_ = TableMap(space, (1, 2, 3, 4, 5, 4))
+        for k in list(range(20)) + [10**12 + 1]:
+            assert map_.power(0, k) == (k if k < 4 else 4 + (k - 4) % 2)
+        assert map_.power(2, 1) == 3
+        assert map_.power(2, 3) == 5
+
+    def test_negative_count_rejected(self, five_swap, two_phase):
+        with pytest.raises(ValueError):
+            five_swap[1].power(0, -1)
+        space, shift = two_phase
+        with pytest.raises(ValueError):
+            shift.power(space.x(1), -1)
+
+    def test_invalid_point(self, five_swap):
+        _, map_ = five_swap
+        for k in (0, 1, 7):
+            with pytest.raises(InvalidPointError):
+                map_.power(9, k)
+
+    @pytest.mark.parametrize("build", [two_phase, four_phase])
+    def test_shift_matches_literal_apply(self, build):
+        space, map_ = build()
+        starts = [space.a_point, space.b_point] + [space.x(m) for m in range(1, 11)]
+        for x in starts:
+            expected = literal_powers(map_, x, 13)
+            assert [map_.power(x, k) for k in range(13)] == expected
+
+    def test_equality_and_repr_see_only_space_and_images(self):
+        space = unit_space(5)
+        first, second = TableMap(space, (1, 0, 3, 4, 2)), TableMap(space, (1, 0, 3, 4, 2))
+        assert first == second and hash(first) == hash(second)
+        assert first != TableMap(space, (1, 0, 2, 3, 4))
+        assert repr(first) == f"TableMap(space={space!r}, images=(1, 0, 3, 4, 2))"
 
 
 class TestPrimePeriod:

@@ -413,7 +413,8 @@ class TestSolve:
     def test_iterations_accounting(self, request):
         # iterations_used counts the applications of T that advance the
         # strands: n - 1 seeds, then n per round. Verification then adds
-        # n + period + the proper divisors of n below the period.
+        # n + period + the proper divisors of n below the period, counted
+        # in steps of T: power(x, k) counts as k steps.
         for case, n, start, used in [
             ("two_phase", 2, "x1", 35),
             ("four_phase", 4, "x1", 135),
@@ -428,7 +429,11 @@ class TestSolve:
                 applied.append(x)
                 return map_.apply(x)
 
-            counted = SimpleNamespace(space=space, apply=apply)
+            def power(x, k):
+                applied.extend([x] * k)
+                return map_.power(x, k)
+
+            counted = SimpleNamespace(space=space, apply=apply, power=power)
             advance_subsequences(space, counted, n, start)
             sol = solve(space, map_, n, start)
             assert sol.iterations_used == len(applied) == used, case

@@ -14,6 +14,7 @@ from graphcon import (
     InvalidPointError,
     MetricAxiomError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonSquareError,
     SeqPoint,
     SequenceFamily,
@@ -138,6 +139,20 @@ class TestValidateFinite:
             validate_finite([[0, -1], [-1, 0]])
         assert err.value.indices == (0, 1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NonFiniteEntryError) as err:
+            validate_finite([[0, bad], [bad, 0]])
+        assert err.value.indices == (0, 1)
+        with pytest.raises(NonFiniteEntryError) as err:
+            FiniteSpace(("p", "q"), ((0, bad), (bad, 0)))
+        assert err.value.indices == (0, 1)
+
+    def test_non_finite_checked_before_negativity(self):
+        with pytest.raises(NonFiniteEntryError) as err:
+            validate_finite([[0, -1], [math.inf, 0]])
+        assert err.value.indices == (1, 0)
+
     def test_nonzero_diagonal(self):
         with pytest.raises(IdentityViolationError):
             validate_finite([[1]])
@@ -216,6 +231,12 @@ class TestFiniteSpace:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(BadParamsError):
             FiniteSpace.from_rows(["a", "a"], [[0, 1], [1, 0]])
+
+    def test_empty_space_rejected(self):
+        with pytest.raises(BadParamsError):
+            FiniteSpace((), ())
+        with pytest.raises(BadParamsError):
+            FiniteSpace.from_rows([], [])
 
 
 class TestTwoPhasePoints:
