@@ -2,13 +2,15 @@
 
 A map is either a full lookup table over a finite space or the shift map
 on a sequence space (each family point advances to the next index, the two
-anchors swap). Every map gives ``T^k x`` through ``power(x, k)``.
+anchors swap). Every map gives ``T^k x`` through ``power(x, k)``, and
+``rho(x)`` gives ``(t, cycle, entry)`` with ``T^t x = cycle[entry]`` and
+``t`` minimal, or ``None`` when the orbit of ``x`` never repeats.
 
-On a finite space the orbit of each point is a "rho": a tail of ``t``
-steps that runs into a cycle. ``TableMap`` finds every point's tail length,
-cycle and entry position once, in O(|X|), so ``power`` walks at most the
-tail and then indexes the cycle, whatever ``k`` is. ``ShiftMap.power``
-applies the shift ``k`` times.
+On a finite space every orbit is such a "rho": a tail of ``t`` steps that
+runs into a cycle. ``TableMap`` finds every point's tail length, cycle and
+entry position once, in O(|X|), so ``power`` walks at most the tail and
+then indexes the cycle, whatever ``k`` is. Under the shift only the
+anchors cycle; ``ShiftMap.power`` applies the shift ``k`` times.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class TableMap:
 
     def apply(self, x: int) -> int:
         return self.images[self.space.check_point(x)]
+
+    def rho(self, x: int) -> tuple:
+        """(t, cycle, entry) with T^t x = cycle[entry] and t minimal."""
+        return self._rho[self.space.check_point(x)]
 
     def power(self, x: int, k: int) -> int:
         """T^k x: at most the tail is walked, then the cycle is indexed."""
@@ -104,6 +110,13 @@ class ShiftMap:
         if p.role == "b":
             return self.space.a_point
         return self.space.x(p.n + 1)
+
+    def rho(self, p: SeqPoint) -> tuple | None:
+        """The anchors' 2-cycle (a, b) entered at once; None for every x_m."""
+        p = self.space.check_point(p)
+        if p.role == "x":
+            return None
+        return 0, (self.space.a_point, self.space.b_point), int(p.role == "b")
 
     def power(self, p: SeqPoint, k: int) -> SeqPoint:
         """T^k p by k applications of the shift.

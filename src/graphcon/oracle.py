@@ -75,8 +75,10 @@ def enumerate_periodic(
         orbits.append(tuple(cyc))
 
     all_divide = all(n % p == 0 for _, p in periodic)
-    is_contraction = alpha_exact(space, map_, n).verdict is Verdict.CONTRACTION
-    nonempty_when_needed = bool(periodic) or not is_contraction
+    # the verdict matters only when no periodic point was found
+    nonempty_when_needed = (
+        bool(periodic) or alpha_exact(space, map_, n).verdict is not Verdict.CONTRACTION
+    )
     return OracleResult(tuple(periodic), tuple(orbits), all_divide and nonempty_when_needed)
 
 

@@ -2,29 +2,29 @@
 
 Given an order n, the forward orbit of a start point splits into n
 subsequences by index residue: x_j = T^j x belongs to strand j mod n, so
-each strand advances by T^n. The solver walks that one orbit, one
-application of T per term, and hands each new point to its strand.
-When T contracts at order n the step distances inside each subsequence
-decay geometrically, so each subsequence is Cauchy and its limit can be
-bracketed by a geometric tail bound. The n limits chain cyclically under
-T, and matching them against cyclic shifts of divisor length recovers the
-period of the limit cycle, which always divides n.
+each strand advances by T^n. When T contracts at order n the step
+distances inside each subsequence decay geometrically, so each
+subsequence is Cauchy and its limit can be bracketed by a geometric tail
+bound. The n limits chain cyclically under T, and matching them against
+cyclic shifts of divisor length recovers the period of the limit cycle,
+which always divides n.
 
 Stopping rule
 -------------
-The solver does not know the true contraction constant. Each subsequence
-tracks an empirical ratio estimate (max of its last three step ratios,
-clamped below 1) and stops once the geometric tail bound computed from it
-falls under the requested tolerance, or once the subsequence becomes
-exactly constant. On finite spaces only the constancy exit is used, so
-finite limits are exact; limits that are all exact are compared exactly.
-A moving strand that revisits one of its own terms has entered a cycle of
-T^n and is given up on the spot. A step-ratio pattern at or above 1 keeps
-the bound large and eventually surfaces as NotConvergedError.
+An orbit that runs into a cycle (``map_.rho``) is not iterated: its
+strands are read off the cycle, exactly, or given up on at once when the
+cycle length does not divide n. Only an orbit that never repeats is
+walked, one application of T per term. The solver does not know the true
+contraction constant. Each subsequence tracks an empirical ratio estimate
+(max of its last three step ratios, clamped below 1) and stops once the
+geometric tail bound computed from it falls under the requested
+tolerance. A ratio pattern at or above 1 keeps the bound large and
+eventually surfaces as NotConvergedError.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +37,7 @@ from .errors import (
     ToleranceAmbiguityError,
 )
 from .maps import MapModel, iterate
-from .spaces import FiniteSpace, PointRef, SpaceModel
+from .spaces import PointRef, SpaceModel
 
 __all__ = [
     "cauchy_tail_bound",
@@ -93,20 +93,17 @@ def _quotient(x, y) -> float:
 class TailBoundStopper:
     """Convergence detector for one iteratively advanced subsequence.
 
-    Feed it consecutive step distances with :meth:`observe`; it reports
-    convergence once the step is exactly zero (the sequence is constant
-    from there on, since each term is a function of the previous one) or,
-    when ``use_bound`` is set, once the empirical geometric tail bound
-    drops below ``tol``. Only the first and last steps, their count and
-    the last ``RATIO_WINDOW`` step ratios are kept: an exact step far out
-    on a sequence space has as many bits as its index.
+    Feed it consecutive positive step distances with :meth:`observe`; it
+    reports convergence once the empirical geometric tail bound drops below
+    ``tol``. Only the first and last steps, their count and the last
+    ``RATIO_WINDOW`` step ratios are kept: an exact step far out on a
+    sequence space has as many bits as its index.
     """
 
-    def __init__(self, tol: float, use_bound: bool = True):
+    def __init__(self, tol: float):
         if tol <= 0:
             raise ValueError("tolerance must be positive")
         self.tol = tol
-        self.use_bound = use_bound
         self.first = None
         self.last = None
         self.count = 0
@@ -126,21 +123,11 @@ class TailBoundStopper:
         self.count += 1
         if prev is None:
             self.first = step
-        if self.converged:
-            return True
-        if step == 0:
-            self.converged = True
-            if self.gamma_hat is None:
-                self.gamma_hat = 0.0
-            return True
-        if not self.use_bound or prev is None:
-            return False
-        # prev is positive: a zero step converges above
-        self.ratios.append(_quotient(step, prev))
-        self.gamma_hat = min(max(self.ratios), GAMMA_CAP)
-        self.bound = cauchy_tail_bound(self.first, self.gamma_hat, self.count + 1)
-        if self.bound < self.tol:
-            self.converged = True
+        elif not self.converged:
+            self.ratios.append(_quotient(step, prev))
+            self.gamma_hat = min(max(self.ratios), GAMMA_CAP)
+            self.bound = cauchy_tail_bound(self.first, self.gamma_hat, self.count + 1)
+            self.converged = self.bound < self.tol
         return self.converged
 
 
@@ -149,9 +136,9 @@ class SubsequenceState:
     """Progress record of one residue subsequence (residue is 1-based)."""
 
     residue: int
-    terms: list
+    terms: list  # empty for a strand read off a cycle
     last_step: object  # the exact distance between the last two terms
-    gamma_hat: float
+    gamma_hat: Optional[float]  # None for a strand read off a cycle
     limit: Optional[PointRef]
 
 
@@ -166,44 +153,48 @@ def advance_subsequences(
     """Advance all n residue subsequences of the orbit of ``start``.
 
     The strands interleave one orbit x_j = T^j start: strand i (0-based
-    here) holds x_i, x_{n+i}, x_{2n+i}, ... The orbit is walked one
-    application of T at a time, and x_j extends strand j mod n, so a round
-    extends every strand by one term for n applications in all. The loop
-    runs until every strand's stopping rule has fired. Sharing the horizon
-    keeps all final terms on one orbit prefix, so applying T to the i-th
-    final term lands exactly on the (i+1)-th (and the n-th wraps to one
-    step past the first), which is what the solver's consistency checks
-    rely on. Raises NotConvergedError as soon as a strand that has not
-    converged revisits one of its own terms (its orbit under T^n has
-    entered a cycle), or if some strand has not converged after
-    ``max_outer`` terms.
+    here) holds x_i, x_{n+i}, x_{2n+i}, ... If the orbit has tail t into a
+    cycle C of length L entered at C[e] (``map_.rho``), strand i is
+    eventually constant at C[(e + i - t) mod L] when L divides n, and
+    otherwise cycles under T^n: NotConvergedError names the first strand
+    that would revisit a term. An orbit that never repeats is walked one
+    application of T at a time, and x_j extends strand j mod n, until every
+    strand's stopping rule has fired. Sharing the horizon keeps all final
+    terms on one orbit prefix, so applying T to the i-th final term lands
+    exactly on the (i+1)-th (and the n-th wraps to one step past the
+    first), which is what the solver's consistency checks rely on. Raises
+    NotConvergedError if some strand has not converged after ``max_outer``
+    terms.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if max_outer < 2:
         raise ValueError("max_outer must allow at least one advance")
-    orbit = [map_.space.check_point(start)]
+    shape = map_.rho(start)
+    if shape is not None:
+        t, cycle, entry = shape
+        length = len(cycle)
+        if n % length:  # x_{t+Mn} is the first revisit, M = L / gcd(n, L)
+            step = space.distance(cycle[(entry - n) % length], cycle[entry])
+            raise NotConvergedError(
+                t % n + 1, float(step), None,
+                f"the orbit of T^{n} enters a cycle of length {length // math.gcd(n, length)}",
+            )
+        return [
+            SubsequenceState(i + 1, [], 0, None, cycle[(entry + i - t) % length])
+            for i in range(n)
+        ]
+    orbit = [start]  # rho has checked it
     for _ in range(n - 1):
         orbit.append(map_.apply(orbit[-1]))
-    # finite strands stop only on an exact zero step, so their limits are exact
-    use_bound = not isinstance(space, FiniteSpace)
-    stoppers = [TailBoundStopper(tol, use_bound) for _ in range(n)]
-    seen = [{seed: 0} for seed in orbit]  # term -> its index in the strand
+    stoppers = [TailBoundStopper(tol) for _ in range(n)]
     pending = set(range(n))
-    for k in range(1, max_outer):
+    for _ in range(max_outer - 1):
         for i in range(n):
             nxt = map_.apply(orbit[-1])
-            step = space.distance(orbit[-n], nxt)
-            orbit.append(nxt)
-            if stoppers[i].observe(step):
+            if stoppers[i].observe(space.distance(orbit[-n], nxt)):
                 pending.discard(i)
-            elif nxt in seen[i]:  # still moving, yet back at an earlier term
-                raise NotConvergedError(
-                    i + 1, float(step), stoppers[i].gamma_hat,
-                    f"the orbit of T^{n} enters a cycle of length {k - seen[i][nxt]}",
-                )
-            else:
-                seen[i][nxt] = k
+            orbit.append(nxt)
         if not pending:
             break
     if pending:
@@ -290,8 +281,9 @@ class PeriodicSolution:
     """Verified output of :func:`solve`. ``period`` always divides ``order``.
 
     ``iterations_used`` counts the applications of T made while advancing
-    the strands, one per orbit point past the start; the applications that
-    verify the limits are not included.
+    the strands, one per walked orbit point past the start, so it is 0 when
+    the strands are read off a cycle; the applications that verify the
+    limits are not included.
     """
 
     order: int
@@ -358,5 +350,5 @@ def solve(
         representative=representative,
         residual=float(residual),
         cycle=tuple(limits[:period]),
-        iterations_used=sum(len(st.terms) for st in states) - 1,
+        iterations_used=max(sum(len(st.terms) for st in states) - 1, 0),
     )

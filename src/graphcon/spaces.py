@@ -89,10 +89,11 @@ def validate_finite(dist: Sequence[Sequence]) -> None:
     the witnessing indices; ``TriangleViolationError`` indices ``(i, j, k)``
     mean ``d(i,j) > d(i,k) + d(k,j)``.
 
-    The triangle stage runs on integers: entries that are neither ``int``
-    nor ``Fraction`` (floats, decimals) are first converted to their exact
-    ``Fraction`` value, and the matrix is multiplied once by the least
-    common multiple of the denominators. Each row ``i`` is then compared
+    The stages after finiteness compare integers: entries that are neither
+    ``int`` nor ``Fraction`` (floats, decimals) are first converted to their
+    exact ``Fraction`` value, and the matrix is multiplied once by the least
+    common multiple of the denominators. Messages print the entries as
+    given. For the triangle inequality each row ``i`` is compared
     against ``d(i,k) + row k`` for every ``k`` at C level. Only a row that
     breaks the inequality is scanned again over ``(j, k)`` in order, so the
     witness is still the lexicographically first ``(i, j, k)``.
@@ -107,39 +108,41 @@ def validate_finite(dist: Sequence[Sequence]) -> None:
         # an int or a Fraction is always finite, so most rows skip the scan
         if not _EXACT_TYPES.issuperset(map(type, row)):
             for j, v in enumerate(row):
+                if isinstance(v, str):  # Fraction() below would parse it
+                    raise TypeError(f"d({i},{j}) = {v!r} is not a number")
                 if v != v or v in _INFINITIES:  # v != v only for NaN
                     raise NonFiniteEntryError(
                         f"d({i},{j}) = {v} is not a finite number", (i, j)
                     )
-    for i in range(n):
-        for j in range(n):
-            if dist[i][j] < 0:
-                raise NegativeEntryError(
-                    f"d({i},{j}) = {dist[i][j]} is negative", (i, j)
-                )
-    for i in range(n):
-        if dist[i][i] != 0:
-            raise IdentityViolationError(
-                f"d({i},{i}) = {dist[i][i]}, diagonal must be zero", (i, i)
-            )
-        for j in range(n):
-            if i != j and dist[i][j] == 0:
-                raise IdentityViolationError(
-                    f"d({i},{j}) = 0 for distinct points", (i, j)
-                )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
-                raise SymmetryViolationError(
-                    f"d({i},{j}) = {dist[i][j]} but d({j},{i}) = {dist[j][i]}",
-                    (i, j),
-                )
     exact = [
         [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
         for row in dist
     ]
     den = math.lcm(*(v.denominator for row in exact for v in row))
     scaled = [[v.numerator * (den // v.denominator) for v in row] for row in exact]
+    for i, row in enumerate(scaled):
+        for j, v in enumerate(row):
+            if v < 0:
+                raise NegativeEntryError(
+                    f"d({i},{j}) = {dist[i][j]} is negative", (i, j)
+                )
+    for i, row in enumerate(scaled):
+        if row[i] != 0:
+            raise IdentityViolationError(
+                f"d({i},{i}) = {dist[i][i]}, diagonal must be zero", (i, i)
+            )
+        for j, v in enumerate(row):
+            if i != j and v == 0:
+                raise IdentityViolationError(
+                    f"d({i},{j}) = 0 for distinct points", (i, j)
+                )
+    for i, row in enumerate(scaled):
+        for j in range(i + 1, n):
+            if row[j] != scaled[j][i]:
+                raise SymmetryViolationError(
+                    f"d({i},{j}) = {dist[i][j]} but d({j},{i}) = {dist[j][i]}",
+                    (i, j),
+                )
     for i, row_i in enumerate(scaled):
         for d_ik, row_k in zip(row_i, scaled):
             if any(map(gt, row_i, map(add, repeat(d_ik), row_k))):

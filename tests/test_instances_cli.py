@@ -191,6 +191,20 @@ class TestCliSolve:
             "iterations",
         }
 
+    def test_finite_read_off_without_iterating(self, tmp_path, capsys):
+        # p -> q -> r -> s -> r: a tail of two steps into a 2-cycle, so a
+        # walk at order 2 would need more than the smallest budget
+        doc_in = dict(FIVE_SWAP_DOC, points=["p", "q", "r", "s"],
+                      distance=[row[:4] for row in FIVE_SWAP_DOC["distance"][:4]],
+                      map={"p": "q", "q": "r", "r": "s", "s": "r"})
+        path = write_doc(tmp_path, doc_in)
+        code, doc, _ = run_cli(
+            capsys,
+            ["solve", "--input", path, "--order", "2", "--start", "p", "--max-outer", "2"],
+        )
+        assert code == 0
+        assert (doc["period"], sorted(doc["cycle"]), doc["iterations"]) == (2, ["r", "s"], 0)
+
     def test_sequence(self, tmp_path, capsys):
         path = write_doc(tmp_path, TWO_PHASE_DOC)
         code, doc, _ = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphcon import (
     BadParamsError,
     InvalidPointError,
+    SeqPoint,
     TableMap,
     iterate,
     prime_period,
@@ -137,6 +138,41 @@ class TestPower:
         assert first == second and hash(first) == hash(second)
         assert first != TableMap(space, (1, 0, 2, 3, 4))
         assert repr(first) == f"TableMap(space={space!r}, images=(1, 0, 3, 4, 2))"
+
+
+class TestRho:
+    def test_matches_literal_apply_on_random_instances(self):
+        for seed in range(200):
+            space, map_ = random_instance(seed, 12)
+            for x in space.points():
+                t, cycle, entry = map_.rho(x)
+                size = len(cycle)
+                orbit = literal_powers(map_, x, t + size + 1)
+                assert orbit[t] == cycle[entry], (seed, x)
+                # t + L distinct points: no earlier entry and no shorter cycle
+                assert len(set(orbit[: t + size])) == t + size, (seed, x)
+                assert orbit[t + size] == orbit[t], (seed, x)
+                closes = [map_.apply(y) for y in cycle]
+                assert closes == list(cycle[1:] + cycle[:1]), (seed, x)
+
+    @pytest.mark.parametrize("build", [two_phase, four_phase])
+    def test_shift_cycles_only_at_the_anchors(self, build):
+        space, map_ = build()
+        pair = (space.a_point, space.b_point)
+        assert map_.rho(space.a_point) == (0, pair, 0)
+        assert map_.rho(space.b_point) == (0, pair, 1)
+        assert all(map_.rho(space.x(m)) is None for m in range(1, 11))
+
+    def test_invalid_point(self, five_swap, two_phase):
+        with pytest.raises(InvalidPointError):
+            five_swap[1].rho(9)
+        with pytest.raises(InvalidPointError):
+            five_swap[1].rho("x1")
+        space, shift = two_phase
+        with pytest.raises(InvalidPointError):
+            shift.rho(SeqPoint("x", 0))
+        with pytest.raises(InvalidPointError):
+            shift.rho(0)
 
 
 class TestPrimePeriod:

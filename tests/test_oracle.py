@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcon import oracle
 from graphcon import (
     TableMap,
     Verdict,
@@ -44,6 +45,25 @@ class TestEnumeratePeriodic:
         # no contradiction: order 2 is not a contraction here
         assert alpha_exact(space, map_, 2).verdict is Verdict.NOT_CONTRACTION
         assert res.divisor_ok
+
+    def test_verdict_computed_only_without_periodic_points(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return alpha_exact(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "alpha_exact", counted)
+        empty = found = 0
+        for seed in range(30):
+            space, map_ = random_instance(seed, 8)
+            for n in (1, 2, 3):
+                calls.clear()
+                res = enumerate_periodic(space, map_, n)
+                assert len(calls) == (res.periodic == ())
+                empty += res.periodic == ()
+                found += res.periodic != ()
+        assert empty and found
 
     def test_full_scan_exhibits_non_divisor_periods(self, four_cycle):
         space, map_ = four_cycle

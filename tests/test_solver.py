@@ -85,12 +85,6 @@ class TestTailBoundStopper:
             pytest.fail("stopper never fired")
         assert abs(x - 2.0) < tol
 
-    def test_constant_sequence_exits_immediately(self):
-        stop = TailBoundStopper(1e-10)
-        assert stop.observe(0.0)
-        assert stop.last == 0
-        assert stop.gamma_hat == 0.0
-
     def test_non_contracting_never_converges(self):
         stop = TailBoundStopper(1e-10)
         for _ in range(500):
@@ -104,14 +98,6 @@ class TestTailBoundStopper:
         assert stop.observe(Fraction(1, 2**2002))
         assert stop.gamma_hat == 0.25
         assert stop.last != 0
-
-    def test_bound_exit_disabled(self):
-        stop = TailBoundStopper(1e-10, use_bound=False)
-        step = 1.0
-        for _ in range(200):
-            assert not stop.observe(step)
-            step *= 0.25
-        assert stop.observe(0.0)
 
 
 class TestAdvanceSubsequences:
@@ -161,21 +147,27 @@ class TestAdvanceSubsequences:
 
 def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
     """The literal per-strand loop: strand i seeds at T^(i-1) start, and
-    every term is a fresh n-fold iterate of its strand's last term."""
+    every term is a fresh n-fold iterate of its strand's last term.
+
+    A strand whose step is exactly 0 is constant from there on (each term
+    is a function of the previous one) and has converged; a strand that
+    moves back to one of its own terms has entered a cycle of T^n. Only
+    on a sequence space does the tail bound also stop a strand."""
     seeds = [start]
     for _ in range(n - 1):
         seeds.append(map_.apply(seeds[-1]))
     use_bound = not isinstance(space, FiniteSpace)
-    stoppers = [TailBoundStopper(tol, use_bound) for _ in range(n)]
+    stoppers = [TailBoundStopper(tol) for _ in range(n)]
     terms = [[seed] for seed in seeds]
+    last = [None] * n
     seen = [{seed: 0} for seed in seeds]
     pending = set(range(n))
     for k in range(1, max_outer):
         for i in range(n):
             nxt = iterate(map_, terms[i][-1], n)
-            step = space.distance(terms[i][-1], nxt)
+            step = last[i] = space.distance(terms[i][-1], nxt)
             terms[i].append(nxt)
-            if stoppers[i].observe(step):
+            if step == 0:
                 pending.discard(i)
             elif nxt in seen[i]:
                 raise NotConvergedError(
@@ -184,6 +176,8 @@ def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
                 )
             else:
                 seen[i][nxt] = k
+                if use_bound and stoppers[i].observe(step):
+                    pending.discard(i)
         if not pending:
             break
     if pending:
@@ -194,7 +188,7 @@ def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
         )
         raise NotConvergedError(min(pending) + 1, float(st_.last), st_.gamma_hat, reason)
     return [
-        SubsequenceState(i + 1, t, stop.last, stop.gamma_hat, t[-1])
+        SubsequenceState(i + 1, t, last[i], stop.gamma_hat, t[-1])
         for i, (t, stop) in enumerate(zip(terms, stoppers))
     ]
 
@@ -207,11 +201,23 @@ def _outcome(advance, space, map_, n, start, max_outer):
         return ("raised", err.residue, err.gamma_hat, str(err))
 
 
+def _limits_or_error(outcome):
+    """What an orbit that cycles pins: each strand's limit and last step, or
+    the error's residue and message. Its strands are read off the cycle, so
+    they keep no terms and no ratio estimate."""
+    if outcome[0] == "raised":
+        return outcome[1], outcome[3]
+    return [(st_.limit, st_.last_step) for st_ in outcome]
+
+
 class TestOrbitWalkMatchesReference:
-    def _check(self, space, map_, n, start, max_outer, kinds):
+    def _check(self, space, map_, n, start, max_outer, kinds, in_full):
         got = _outcome(advance_subsequences, space, map_, n, start, max_outer)
         want = _outcome(reference_advance, space, map_, n, start, max_outer)
-        assert got == want, (n, start)
+        if in_full:
+            assert got == want, (n, start)
+        else:
+            assert _limits_or_error(got) == _limits_or_error(want), (n, start)
         if got[0] != "raised":
             kinds.add("converged")
         elif "cycle" in got[3]:
@@ -225,20 +231,23 @@ class TestOrbitWalkMatchesReference:
             space, map_ = random_instance(seed, 7)
             for n in range(1, 5):
                 for start in space.points():
-                    self._check(space, map_, n, start, DEFAULT_MAX_OUTER, kinds)
+                    self._check(space, map_, n, start, DEFAULT_MAX_OUTER, kinds, False)
         assert kinds == {"converged", "cycle"}
 
     @pytest.mark.parametrize("family", ["two_phase", "four_phase"])
     def test_sequence_families(self, family, request):
         # the budget only bounds the non-contracting orders; every
-        # contracting strand here converges well before it
+        # contracting strand here converges well before it. The orbits of
+        # the anchors cycle, those of x1...x10 never repeat.
         space, shift = request.getfixturevalue(family)
-        starts = [space.a_point, space.b_point] + [space.x(m) for m in range(1, 11)]
-        kinds = set()
+        anchors, members = set(), set()
         for n in range(1, 7):
-            for start in starts:
-                self._check(space, shift, n, start, 300, kinds)
-        assert kinds == {"converged", "cycle", "budget"}
+            for start in [space.a_point, space.b_point]:
+                self._check(space, shift, n, start, 300, anchors, False)
+            for m in range(1, 11):
+                self._check(space, shift, n, space.x(m), 300, members, True)
+        assert anchors == {"converged", "cycle"}
+        assert members == {"converged", "budget"}
 
 
 class TestClassifyLimits:
@@ -404,7 +413,12 @@ class TestSolve:
                     continue
                 states = advance_subsequences(space, map_, n, 0)
                 for st_ in states:
-                    steps = [space.distance(*pair) for pair in zip(st_.terms, st_.terms[1:])]
+                    x, steps = iterate(map_, 0, st_.residue - 1), []
+                    while not steps or steps[-1]:
+                        nxt = iterate(map_, x, n)
+                        steps.append(space.distance(x, nxt))
+                        x = nxt
+                    assert x == st_.limit
                     for k in range(len(steps) - 1):
                         assert steps[k + 1] <= rep.alpha_min * steps[k]
                         checked += 1
@@ -412,14 +426,16 @@ class TestSolve:
 
     def test_iterations_accounting(self, request):
         # iterations_used counts the applications of T that advance the
-        # strands: n - 1 seeds, then n per round. Verification then adds
-        # n + period + the proper divisors of n below the period, counted
-        # in steps of T: power(x, k) counts as k steps.
+        # strands: n - 1 seeds, then n per round, and none for an orbit read
+        # off its cycle. Verification then adds n + period + the proper
+        # divisors of n below the period, counted in steps of T: power(x, k)
+        # counts as k steps.
         for case, n, start, used in [
             ("two_phase", 2, "x1", 35),
+            ("two_phase", 2, "a", 0),
             ("four_phase", 4, "x1", 135),
             ("four_phase", 12, "x1", 143),
-            ("five_swap", 6, "x3", 11),
+            ("five_swap", 6, "x3", 0),
         ]:
             space, map_ = request.getfixturevalue(case)
             start = space.point_named(start)
@@ -433,7 +449,7 @@ class TestSolve:
                 applied.extend([x] * k)
                 return map_.power(x, k)
 
-            counted = SimpleNamespace(space=space, apply=apply, power=power)
+            counted = SimpleNamespace(space=space, apply=apply, power=power, rho=map_.rho)
             advance_subsequences(space, counted, n, start)
             sol = solve(space, map_, n, start)
             assert sol.iterations_used == len(applied) == used, case
@@ -452,11 +468,11 @@ class TestSolve:
             applied.append(x)
             return table.apply(x)
 
-        n = 2
+        counted = SimpleNamespace(space=space, apply=apply, rho=table.rho)
         with pytest.raises(NotConvergedError) as err:
-            solve(space, SimpleNamespace(space=space, apply=apply), n, 0)
-        # the n - 1 seeds, then at most |X| + 1 rounds of n applications
-        assert len(applied) <= (n - 1) + n * (space.size + 1)
+            solve(space, counted, 2, 0)
+        # the strands are read off the cycle: T is never applied
+        assert applied == []
         assert "enters a cycle of length 3" in str(err.value)
         assert "ratio estimate" not in str(err.value)
 
@@ -470,19 +486,19 @@ class TestSolve:
             applied.append(p)
             return shift.apply(p)
 
-        n = 3
+        counted = SimpleNamespace(space=space, apply=apply, rho=shift.rho)
         with pytest.raises(NotConvergedError) as err:
-            solve(space, SimpleNamespace(space=space, apply=apply), n, space.b_point)
+            solve(space, counted, 3, space.b_point)
         assert "enters a cycle of length 2" in str(err.value)
         assert "ratio estimate" not in str(err.value)
-        # the n - 1 seeds, then two rounds of n applications at most
-        assert len(applied) <= (n - 1) + 2 * n
+        # the strands are read off the anchors' 2-cycle: T is never applied
+        assert applied == []
 
-    def test_budget_out_before_any_ratio(self, four_cycle):
-        # no ratio is estimated on a finite space, so none is reported
-        space, map_ = four_cycle
+    def test_budget_out_before_any_ratio(self, two_phase):
+        # a budget of 2 terms gives one step and so no ratio to report
+        space, map_ = two_phase
         with pytest.raises(NotConvergedError) as err:
-            solve(space, map_, 1, 0, max_outer=2)
+            solve(space, map_, 1, space.x(1), max_outer=2)
         assert err.value.gamma_hat is None
         assert "the budget of 2 terms ran out" in str(err.value)
         assert "ratio estimate" not in str(err.value)

@@ -188,6 +188,38 @@ class TestValidateFinite:
         assert got == axiom_outcome(reference_triangle_scan, bad)
         assert got[:2] == (TriangleViolationError, (0, 2, 1))
 
+    @pytest.mark.parametrize(
+        "dist, error, indices, text",
+        [
+            (
+                [[0, 0.5, Fraction(1, 3)], [0.5, 0, -0.25], [Fraction(1, 3), -0.25, 0]],
+                NegativeEntryError, (1, 2), "d(1,2) = -0.25 is negative",
+            ),
+            (
+                [[0, 0.5, 1], [0.5, Fraction(1, 4), 2], [1, 2, 0.0]],
+                IdentityViolationError, (1, 1), "d(1,1) = 1/4, diagonal must be zero",
+            ),
+            (
+                [[0, 0.5, 1], [0.5, 0, Fraction(0)], [1, 0.0, 0]],
+                IdentityViolationError, (1, 2), "d(1,2) = 0 for distinct points",
+            ),
+            (  # the binary float 0.1 is not 1/10; 0.5 is 1/2
+                [[0, 0.5, 1], [Fraction(1, 2), 0, 0.1], [1, Fraction(1, 10), 0]],
+                SymmetryViolationError, (1, 2), "d(1,2) = 0.1 but d(2,1) = 1/10",
+            ),
+        ],
+        ids=["negative", "diagonal", "off-diagonal", "symmetry"],
+    )
+    def test_mixed_entries_per_stage(self, dist, error, indices, text):
+        with pytest.raises(error) as err:
+            validate_finite(dist)
+        assert err.value.indices == indices
+        assert text in str(err.value)
+
+    def test_string_entry_refused(self):
+        with pytest.raises(TypeError):
+            validate_finite([[0, "1"], ["1", 0]])
+
     def test_float_entries_checked_exactly(self):
         validate_finite([[0, 0.1, 0.3], [0.1, 0, 0.2], [0.3, 0.2, 0]])
         # 0.1 + 0.2 rounds to this float, but the exact sum of the two
