@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import ConsistencyViolationError
+from .errors import BadParamsError, ConsistencyViolationError
 from .maps import MapModel, iterate
 from .spaces import FiniteSpace, PointRef, SequenceSpace, SpaceModel, as_fraction
 
@@ -100,7 +100,7 @@ class ContractionReport:
 def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample:
     """Order-n ratio at x, as an exact rational."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise BadParamsError(f"order must be >= 1, got {n}")
     tn = iterate(map_, x, n)
     t2n = iterate(map_, tn, n)
     numer = space.distance(tn, t2n)
@@ -118,35 +118,24 @@ def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample
 def _report_from_samples(order, samples, exact):
     informative = [s for s in samples if not s.trivial]
     alpha_min = max((s.value for s in informative), default=Fraction(0))
-    if exact:
-        over = next((s for s in informative if s.value >= 1), None)
-        if over is not None:
-            return ContractionReport(
-                order, alpha_min, True, Verdict.NOT_CONTRACTION, over.point, tuple(samples)
-            )
-        return ContractionReport(
-            order, alpha_min, True, Verdict.CONTRACTION, None, tuple(samples)
-        )
-    # Sampled: only a strict exceedance refutes; a sampled ratio of exactly 1
-    # (or a sup within the margin) stays inconclusive.
-    over = next((s for s in informative if s.value > 1), None)
+    # Exact: a ratio of 1 or more refutes. Sampled: only a strict exceedance
+    # refutes; a sampled ratio of exactly 1 (or a sup within the margin)
+    # stays inconclusive.
+    over = next((s for s in informative if s.value > 1 or exact and s.value == 1), None)
     if over is not None:
-        return ContractionReport(
-            order, alpha_min, False, Verdict.NOT_CONTRACTION, over.point, tuple(samples)
-        )
-    if alpha_min >= 1 - INCONCLUSIVE_MARGIN:
-        return ContractionReport(
-            order, alpha_min, False, Verdict.INCONCLUSIVE_SAMPLED, None, tuple(samples)
-        )
-    return ContractionReport(
-        order, alpha_min, False, Verdict.CONTRACTION, None, tuple(samples)
-    )
+        verdict = Verdict.NOT_CONTRACTION
+    elif not exact and alpha_min >= 1 - INCONCLUSIVE_MARGIN:
+        verdict = Verdict.INCONCLUSIVE_SAMPLED
+    else:
+        verdict = Verdict.CONTRACTION
+    witness = None if over is None else over.point
+    return ContractionReport(order, alpha_min, exact, verdict, witness, tuple(samples))
 
 
 def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport:
     """Ratio at every point of a finite space, in exact arithmetic."""
     if not isinstance(space, FiniteSpace):
-        raise TypeError("alpha_exact needs a finite space")
+        raise BadParamsError(f"alpha_exact needs a finite space, got {type(space).__name__}")
     samples = [ratio(space, map_, n, x) for x in space.points()]
     return _report_from_samples(n, samples, exact=True)
 
@@ -156,9 +145,11 @@ def alpha_sampled(
 ) -> ContractionReport:
     """Ratio at a, b and the first ``index_cap`` family points."""
     if not isinstance(space, SequenceSpace):
-        raise TypeError("alpha_sampled needs a sequence space")
+        raise BadParamsError(
+            f"alpha_sampled needs a sequence space, got {type(space).__name__}"
+        )
     if index_cap < 1:
-        raise ValueError("index_cap must be >= 1")
+        raise BadParamsError(f"index_cap must be >= 1, got {index_cap}")
     samples = [ratio(space, map_, n, p) for p in space.sample_points(index_cap)]
     return _report_from_samples(n, samples, exact=False)
 
@@ -221,10 +212,14 @@ def check_iterated_class(
     breach raises ConsistencyViolationError.
     """
     if not isinstance(space, FiniteSpace):
-        raise TypeError("check_iterated_class needs a finite space")
+        raise BadParamsError(
+            f"check_iterated_class needs a finite space, got {type(space).__name__}"
+        )
+    if n < 1:
+        raise BadParamsError(f"order must be >= 1, got {n}")
     alpha = as_fraction(alpha)
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise BadParamsError(f"alpha must be in (0, 1), got {alpha}")
     cls = ContractionClass(contraction_class)
     if cls is ContractionClass.BANACH:
         effective = alpha

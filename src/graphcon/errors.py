@@ -92,4 +92,5 @@ class UnknownIdError(GraphconError):
 
 
 class BadParamsError(GraphconError):
-    """Parameters are outside the valid range (e.g. a >= b)."""
+    """A parameter is outside its valid range (e.g. a >= b, order 0), or a
+    space is of the wrong kind for the engine it is passed to."""

@@ -49,8 +49,6 @@ __all__ = [
 
 GALLERY_IDS = ("example_2_2", "example_2_3", "example_2_4", "example_2_5")
 
-COORD_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class ClassInstance:
@@ -167,7 +165,8 @@ def _oracle(case, n, periods, orbit_count):
 
 def _solve(case, n, start, period, shape, limits=None):
     """Solve from ``start``; cross-check against the oracle, or, given
-    named ``limits``, require the limits within ``COORD_TOL`` of them."""
+    named ``limits``, require the limits within the solver's
+    ``DEFAULT_CLUSTER_TOL`` of them."""
     space, map_ = case.space, case.map_
     name = f"solve_order{n}_from_{start}"
     try:
@@ -181,7 +180,8 @@ def _solve(case, n, start, period, shape, limits=None):
         return name, ok and cc.agree, f"{detail}, crosscheck {cc.label}"
     targets = [space.point_named(nm) for nm in limits]
     gap = float(max(space.distance(lim, t) for lim, t in zip(sol.limits, targets)))
-    ok = ok and len(sol.limits) == len(targets) and max(gap, sol.residual) <= COORD_TOL
+    close = max(gap, sol.residual) <= solver.DEFAULT_CLUSTER_TOL
+    ok = ok and len(sol.limits) == len(targets) and close
     return name, ok, f"{detail}, max limit gap {gap:.2e}, residual {sol.residual:.2e}"
 
 

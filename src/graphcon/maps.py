@@ -139,7 +139,7 @@ MapModel = Union[TableMap, ShiftMap]
 
 def _check_count(k: int) -> None:
     if k < 0:
-        raise ValueError("iteration count must be >= 0")
+        raise BadParamsError(f"iteration count must be >= 0, got {k}")
 
 
 def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
@@ -153,12 +153,14 @@ def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
 
 
 def prime_period(map_: MapModel, x: PointRef, max_p: int) -> int | None:
-    """Least p <= max_p with T^p x = x, or None if there is none."""
+    """Least p <= max_p with T^p x = x, or None if there is none.
+
+    Read off ``rho(x)``: x returns to itself exactly when it lies on its
+    cycle (tail 0), and then its prime period is the cycle's length.
+    """
     if max_p < 1:
-        raise ValueError("max_p must be >= 1")
-    y = x = map_.space.check_point(x)
-    for p in range(1, max_p + 1):
-        y = map_.apply(y)
-        if y == x:
-            return p
-    return None
+        raise BadParamsError(f"max_p must be >= 1, got {max_p}")
+    shape = map_.rho(x)
+    if shape is None or shape[0] > 0 or len(shape[1]) > max_p:
+        return None
+    return len(shape[1])

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .analysis import Verdict, alpha_exact
+from .errors import BadParamsError
 from .maps import MapModel, TableMap
 from .solver import PeriodicSolution, divisors
 from .spaces import FiniteSpace
@@ -50,8 +51,12 @@ def enumerate_periodic(
     prime period. ``full_scan`` scans every period up to |X| instead,
     which can exhibit periods that do not divide n on non-contractions.
     """
+    if not isinstance(space, FiniteSpace):
+        raise BadParamsError(
+            f"the oracle enumerates finite spaces only, got {type(space).__name__}"
+        )
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise BadParamsError(f"order must be >= 1, got {n}")
     candidates = set(range(1, space.size + 1)) if full_scan else set(divisors(n))
     horizon = max(candidates)
     periodic = []
@@ -90,7 +95,7 @@ def random_instance(seed: int, max_points: int) -> Tuple[FiniteSpace, TableMap]:
     passes. Same seed, same instance.
     """
     if not 2 <= max_points <= 12:
-        raise ValueError("max_points must be between 2 and 12")
+        raise BadParamsError(f"max_points must be between 2 and 12, got {max_points}")
     rng = random.Random(seed)
     size = rng.randint(2, max_points)
     dist = [[Fraction(0)] * size for _ in range(size)]

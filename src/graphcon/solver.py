@@ -31,6 +31,7 @@ from enum import Enum
 from typing import List, Optional
 
 from .errors import (
+    BadParamsError,
     ConsistencyViolationError,
     GammaOutOfRangeError,
     NotConvergedError,
@@ -74,9 +75,9 @@ def cauchy_tail_bound(d1, gamma, k: int):
     if gamma < 0 or gamma >= 1:
         raise GammaOutOfRangeError(f"gamma must lie in [0, 1), got {gamma}")
     if d1 < 0:
-        raise ValueError("first step distance cannot be negative")
+        raise BadParamsError(f"first step distance cannot be negative, got {d1}")
     if k < 1:
-        raise ValueError("term index k must be >= 1")
+        raise BadParamsError(f"term index k must be >= 1, got {k}")
     return gamma ** (k - 1) * d1 / (1 - gamma)
 
 
@@ -101,8 +102,8 @@ class TailBoundStopper:
     """
 
     def __init__(self, tol: float):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not tol > 0:  # NaN included
+            raise BadParamsError(f"tolerance must be positive, got {tol}")
         self.tol = tol
         self.first = None
         self.last = None
@@ -167,9 +168,11 @@ def advance_subsequences(
     terms.
     """
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise BadParamsError(f"order must be >= 1, got {n}")
     if max_outer < 2:
-        raise ValueError("max_outer must allow at least one advance")
+        raise BadParamsError(f"max_outer must be >= 2, got {max_outer}")
+    if not tol > 0:  # checked here too, since an orbit read off a cycle needs no stopper
+        raise BadParamsError(f"tolerance must be positive, got {tol}")
     shape = map_.rho(start)
     if shape is not None:
         t, cycle, entry = shape
@@ -246,7 +249,7 @@ def classify_limits(
     """
     n = len(limits)
     if n < 1:
-        raise ValueError("need at least one limit")
+        raise BadParamsError(f"need at least one limit, got {n}")
     period = None
     for q in divisors(n):
         if all(

@@ -79,8 +79,9 @@ _EXACT_TYPES = frozenset((int, Fraction))
 _INFINITIES = (math.inf, -math.inf)
 
 
-def validate_finite(dist: Sequence[Sequence]) -> None:
-    """Check the metric axioms on a square matrix, exactly.
+def validate_finite(dist: Sequence[Sequence]) -> tuple:
+    """Check the metric axioms on a square matrix, exactly, and return it
+    as a tuple of rows holding each entry at its exact value.
 
     Raises the error for the first violated axiom, scanning axioms in the
     order: squareness, finiteness (no infinite or NaN entry),
@@ -147,6 +148,7 @@ def validate_finite(dist: Sequence[Sequence]) -> None:
         for d_ik, row_k in zip(row_i, scaled):
             if any(map(gt, row_i, map(add, repeat(d_ik), row_k))):
                 _raise_first_triangle_violation(exact, i)
+    return tuple(map(tuple, exact))
 
 
 def _raise_first_triangle_violation(dist, i: int) -> None:
@@ -168,6 +170,11 @@ class FiniteSpace:
 
     Points are referenced by integer index into ``labels``. The matrix is
     validated on construction; an invalid matrix never yields a space.
+    ``dist`` holds the validated matrix with every entry exact, so distances
+    are ``int`` or ``Fraction``. Floats follow one of two rules: the
+    constructor takes a float at its binary value (0.1 is
+    3602879701896397/36028797018963968), while ``from_rows`` and instance
+    files take it at its shortest decimal (0.1 is 1/10).
     """
 
     labels: tuple
@@ -182,7 +189,7 @@ class FiniteSpace:
             raise BadParamsError("a finite space needs at least one point")
         if len(set(self.labels)) != len(self.labels):
             raise BadParamsError("point labels must be distinct")
-        validate_finite(self.dist)
+        object.__setattr__(self, "dist", validate_finite(self.dist))
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: Iterable[Iterable]) -> "FiniteSpace":

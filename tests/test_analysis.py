@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcon import (
+    BadParamsError,
     ConsistencyViolationError,
     ContractionClass,
     TableMap,
@@ -64,7 +65,7 @@ class TestRatio:
 
     def test_order_validated(self, five_swap):
         space, map_ = five_swap
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             ratio(space, map_, 0, 0)
 
     def test_zero_denominator_with_nonzero_numerator_raises(self):
@@ -130,7 +131,7 @@ class TestAlphaExact:
 
     def test_rejects_sequence_space(self, two_phase):
         space, map_ = two_phase
-        with pytest.raises(TypeError):
+        with pytest.raises(BadParamsError):
             alpha_exact(space, map_, 1)
 
     def test_contraction_bound_holds_pointwise(self):
@@ -201,7 +202,7 @@ class TestAlphaSampled:
 
     def test_rejects_finite_space(self, five_swap):
         space, map_ = five_swap
-        with pytest.raises(TypeError):
+        with pytest.raises(BadParamsError):
             alpha_sampled(space, map_, 1)
 
 
@@ -298,7 +299,7 @@ class TestIteratedClassCheck:
     def test_alpha_range_validated(self, banach_chain):
         space, map_ = banach_chain
         for bad in (0, 1, Fraction(3, 2), -0.25):
-            with pytest.raises(ValueError):
+            with pytest.raises(BadParamsError):
                 check_iterated_class(space, map_, 1, ContractionClass.BANACH, bad)
 
     def test_accepts_decimal_alpha(self, banach_chain):

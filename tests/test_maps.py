@@ -27,6 +27,16 @@ def literal_powers(map_, x, count):
     return out
 
 
+def literal_prime_period(map_, x, max_p):
+    """Least p <= max_p with T^p x = x, by literal application."""
+    y = x
+    for p in range(1, max_p + 1):
+        y = map_.apply(y)
+        if y == x:
+            return p
+    return None
+
+
 class TestApply:
     def test_five_swap_table(self, five_swap):
         space, map_ = five_swap
@@ -78,7 +88,7 @@ class TestIterate:
 
     def test_negative_count_rejected(self, five_swap):
         _, map_ = five_swap
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             iterate(map_, 0, -1)
 
 
@@ -112,10 +122,10 @@ class TestPower:
         assert map_.power(2, 3) == 5
 
     def test_negative_count_rejected(self, five_swap, two_phase):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             five_swap[1].power(0, -1)
         space, shift = two_phase
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             shift.power(space.x(1), -1)
 
     def test_invalid_point(self, five_swap):
@@ -202,6 +212,22 @@ class TestPrimePeriod:
     def test_family_points_not_periodic(self, two_phase):
         space, map_ = two_phase
         assert prime_period(map_, space.x(1), 8) is None
+
+    def test_matches_literal_apply_on_random_instances(self):
+        for seed in range(200):
+            space, map_ = random_instance(seed, 12)
+            for x in space.points():
+                for max_p in range(1, 12):
+                    expected = literal_prime_period(map_, x, max_p)
+                    assert prime_period(map_, x, max_p) == expected, (seed, x, max_p)
+
+    @pytest.mark.parametrize("family", [two_phase, four_phase])
+    def test_matches_literal_apply_on_shift(self, family):
+        space, map_ = family()
+        starts = [space.a_point, space.b_point] + [space.x(m) for m in range(1, 11)]
+        for x in starts:
+            for max_p in range(1, 12):
+                assert prime_period(map_, x, max_p) == literal_prime_period(map_, x, max_p)
 
 
 class TestSemigroupLaw:

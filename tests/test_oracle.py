@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from graphcon import oracle
 from graphcon import (
+    BadParamsError,
     TableMap,
     Verdict,
     alpha_exact,
@@ -104,9 +105,9 @@ class TestRandomInstance:
             assert 2 <= space.size <= 4
 
     def test_max_points_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             random_instance(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             random_instance(0, 13)
 
     @settings(deadline=None, max_examples=60)

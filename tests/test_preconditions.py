@@ -1,0 +1,74 @@
+"""Every engine refuses a bad parameter with BadParamsError where it is used."""
+
+import math
+
+import pytest
+
+from graphcon import (
+    BadParamsError,
+    ContractionClass,
+    advance_subsequences,
+    alpha_exact,
+    alpha_sampled,
+    cauchy_tail_bound,
+    check_iterated_class,
+    classify_limits,
+    crosscheck,
+    enumerate_periodic,
+    iterate,
+    prime_period,
+    random_instance,
+    ratio,
+    solve,
+)
+from graphcon.solver import TailBoundStopper
+
+from builders import banach_chain, five_swap, two_phase
+
+
+def _crosscheck_on_sequence():
+    space, shift = two_phase()
+    solution = solve(space, shift, 2, space.a_point)
+    crosscheck(space, shift, 2, solution)
+
+
+CALLS = {
+    "enumerate_periodic-sequence": lambda: enumerate_periodic(*two_phase(), 2),
+    "enumerate_periodic-order-0": lambda: enumerate_periodic(*five_swap(), 0),
+    "crosscheck-sequence": _crosscheck_on_sequence,
+    "check_iterated_class-order-0": lambda: check_iterated_class(
+        *banach_chain(), 0, ContractionClass.BANACH, 0.5
+    ),
+    "check_iterated_class-alpha-1": lambda: check_iterated_class(
+        *banach_chain(), 1, ContractionClass.BANACH, 1
+    ),
+    "check_iterated_class-sequence": lambda: check_iterated_class(
+        *two_phase(), 1, ContractionClass.BANACH, 0.5
+    ),
+    "solve-finite-tol-0": lambda: solve(*five_swap(), 6, 0, tol=0),
+    "solve-finite-tol-nan": lambda: solve(*five_swap(), 6, 0, tol=math.nan),
+    "solve-order-0": lambda: solve(*five_swap(), 0, 0),
+    "advance_subsequences-max-outer-1": lambda: advance_subsequences(
+        *two_phase(), 2, two_phase()[0].x(1), max_outer=1
+    ),
+    "ratio-order-0": lambda: ratio(*five_swap(), 0, 0),
+    "alpha_exact-sequence": lambda: alpha_exact(*two_phase(), 1),
+    "alpha_sampled-finite": lambda: alpha_sampled(*five_swap(), 1),
+    "alpha_sampled-index-cap-0": lambda: alpha_sampled(*two_phase(), 1, index_cap=0),
+    "iterate-negative": lambda: iterate(five_swap()[1], 0, -1),
+    "table-power-negative": lambda: five_swap()[1].power(0, -1),
+    "shift-power-negative": lambda: two_phase()[1].power(two_phase()[0].x(1), -1),
+    "prime_period-max-p-0": lambda: prime_period(five_swap()[1], 0, 0),
+    "random_instance-max-points-1": lambda: random_instance(0, 1),
+    "random_instance-max-points-13": lambda: random_instance(0, 13),
+    "cauchy_tail_bound-negative-step": lambda: cauchy_tail_bound(-1.0, 0.5, 2),
+    "cauchy_tail_bound-k-0": lambda: cauchy_tail_bound(1.0, 0.5, 0),
+    "stopper-tol-nan": lambda: TailBoundStopper(math.nan),
+    "classify_limits-empty": lambda: classify_limits(five_swap()[0], []),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_bad_parameter_raises_bad_params(call):
+    with pytest.raises(BadParamsError):
+        call()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcon import (
+    BadParamsError,
     ConsistencyViolationError,
     FiniteSpace,
     GammaOutOfRangeError,
@@ -54,9 +55,9 @@ class TestCauchyTailBound:
             cauchy_tail_bound(1.0, -0.2, 2)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             cauchy_tail_bound(-1.0, 0.5, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             cauchy_tail_bound(1.0, 0.5, 0)
 
     @given(

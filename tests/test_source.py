@@ -29,3 +29,27 @@ def test_solver_does_not_branch_on_the_space_type():
     names |= {node.name for node in nodes if isinstance(node, ast.alias)}
     assert "advance_subsequences" in names
     assert not names & {"FiniteSpace", "SequenceSpace"}
+
+
+def test_engines_raise_only_typed_errors():
+    # a bad parameter is a BadParamsError where it is used; only the two
+    # entry parsers raise the builtin types, which instances turns into
+    # InstanceFormatError
+    allowed = {("spaces.py", "as_fraction"), ("spaces.py", "validate_finite")}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        # ast.walk is breadth first, so an inner function overwrites its outer one
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None)
+            site = (path.name, owner.get(node))
+            if name in ("ValueError", "TypeError") and site not in allowed:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert SOURCES and not found

@@ -237,6 +237,14 @@ class TestFiniteSpace:
         )
         assert space.distance(0, 1) == Fraction(1, 2)
 
+    def test_float_entries_stored_exactly(self):
+        # the constructor takes a float at its binary value, and keeps it exact
+        space = FiniteSpace(("p", "q"), ((0, 0.5), (0.5, 0)))
+        assert type(space.distance(0, 1)) is Fraction
+        assert space.distance(0, 1) == Fraction(1, 2)
+        tenth = FiniteSpace(("p", "q"), ((0, 0.1), (0.1, 0))).distance(1, 0)
+        assert tenth == Fraction(0.1) != Fraction(1, 10)
+
     def test_unit_space_distances(self):
         space = unit_space(5)
         assert space.distance(0, 3) == 1
