@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import BadParamsError, ConsistencyViolationError
+from .errors import BadParamsError, ConsistencyViolationError, require_int, require_kind
 from .maps import MapModel, iterate
 from .spaces import FiniteSpace, PointRef, SequenceSpace, SpaceModel, as_fraction
 
@@ -99,8 +99,7 @@ class ContractionReport:
 
 def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample:
     """Order-n ratio at x, as an exact rational."""
-    if n < 1:
-        raise BadParamsError(f"order must be >= 1, got {n}")
+    require_int("order", n, 1)
     tn = iterate(map_, x, n)
     t2n = iterate(map_, tn, n)
     numer = space.distance(tn, t2n)
@@ -134,8 +133,7 @@ def _report_from_samples(order, samples, exact):
 
 def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport:
     """Ratio at every point of a finite space, in exact arithmetic."""
-    if not isinstance(space, FiniteSpace):
-        raise BadParamsError(f"alpha_exact needs a finite space, got {type(space).__name__}")
+    require_kind("alpha_exact", space, FiniteSpace)
     samples = [ratio(space, map_, n, x) for x in space.points()]
     return _report_from_samples(n, samples, exact=True)
 
@@ -144,12 +142,8 @@ def alpha_sampled(
     space: SequenceSpace, map_: MapModel, n: int, index_cap: int = 200
 ) -> ContractionReport:
     """Ratio at a, b and the first ``index_cap`` family points."""
-    if not isinstance(space, SequenceSpace):
-        raise BadParamsError(
-            f"alpha_sampled needs a sequence space, got {type(space).__name__}"
-        )
-    if index_cap < 1:
-        raise BadParamsError(f"index_cap must be >= 1, got {index_cap}")
+    require_kind("alpha_sampled", space, SequenceSpace)
+    require_int("index_cap", index_cap, 1)
     samples = [ratio(space, map_, n, p) for p in space.sample_points(index_cap)]
     return _report_from_samples(n, samples, exact=False)
 
@@ -211,16 +205,15 @@ def check_iterated_class(
     That bound against ``alpha_exact`` is checked before returning; a
     breach raises ConsistencyViolationError.
     """
-    if not isinstance(space, FiniteSpace):
-        raise BadParamsError(
-            f"check_iterated_class needs a finite space, got {type(space).__name__}"
-        )
-    if n < 1:
-        raise BadParamsError(f"order must be >= 1, got {n}")
-    alpha = as_fraction(alpha)
+    require_kind("check_iterated_class", space, FiniteSpace)
+    require_int("order", n, 1)
+    try:
+        alpha = as_fraction(alpha)
+        cls = ContractionClass(contraction_class)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadParamsError(f"bad alpha or contraction class: {exc}") from None
     if not 0 < alpha < 1:
         raise BadParamsError(f"alpha must be in (0, 1), got {alpha}")
-    cls = ContractionClass(contraction_class)
     if cls is ContractionClass.BANACH:
         effective = alpha
     else:

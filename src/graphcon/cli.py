@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import analysis, gallery, oracle, solver
-from .errors import BadParamsError, GraphconError
+from .errors import GraphconError, require_kind
 from .instances import load_instance, point_json
 from .spaces import FiniteSpace
 
@@ -128,8 +128,7 @@ def _cmd_crosscheck(args):
     space, map_ = load_instance(args.input)
     # the oracle refuses a sequence space too, but only after a solve that
     # may walk its whole budget
-    if not isinstance(space, FiniteSpace):
-        raise BadParamsError("crosscheck needs a finite instance")
+    require_kind("crosscheck", space, FiniteSpace)
     start = space.point_named(args.start)
     sol = solver.solve(space, map_, args.order, start)
     cc = oracle.crosscheck(space, map_, args.order, sol)

@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all engines."""
+"""Exception hierarchy shared by all engines, and the parameter checks
+every engine runs where it uses a parameter."""
 
 from __future__ import annotations
+
+from numbers import Real
 
 
 class GraphconError(Exception):
@@ -50,10 +53,6 @@ class TriangleViolationError(MetricAxiomError):
     pass
 
 
-class GammaOutOfRangeError(GraphconError):
-    """Geometric ratio outside [0, 1); the tail bound is undefined there."""
-
-
 class NotConvergedError(GraphconError):
     """A residue subsequence failed to settle within the iteration budget.
 
@@ -87,10 +86,37 @@ class ConsistencyViolationError(GraphconError):
     """The computed limits do not chain under the map within tolerance."""
 
 
-class UnknownIdError(GraphconError):
-    """Gallery id is not one of the built-in cases."""
-
-
 class BadParamsError(GraphconError):
     """A parameter is outside its valid range (e.g. a >= b, order 0), or a
     space is of the wrong kind for the engine it is passed to."""
+
+
+class GammaOutOfRangeError(BadParamsError):
+    """Geometric ratio outside [0, 1); the tail bound is undefined there."""
+
+
+class UnknownIdError(BadParamsError):
+    """Gallery id is not one of the built-in cases."""
+
+
+def require_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse anything but an ``int`` (so no ``bool``) in ``low..high``."""
+    if type(value) is not int or value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"between {low} and {high}"
+        raise BadParamsError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def require_tolerance(name: str, value, zero_ok: bool = False) -> None:
+    """Refuse anything but a real number above 0, or at 0 when ``zero_ok``
+    is set; NaN fails both comparisons."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        value > 0 or zero_ok and value == 0
+    ):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise BadParamsError(f"{name} must be a number {bound}, got {value!r}")
+
+
+def require_kind(engine: str, space, kind: type) -> None:
+    """Refuse a space that is not a ``kind``, naming the engine."""
+    if not isinstance(space, kind):
+        raise BadParamsError(f"{engine} needs a {kind.__name__}, got {type(space).__name__}")

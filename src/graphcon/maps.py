@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import BadParamsError, InvalidPointError
+from .errors import BadParamsError, InvalidPointError, require_int
 from .spaces import FiniteSpace, PointRef, SeqPoint, SequenceSpace
 
 __all__ = [
@@ -60,7 +60,7 @@ class TableMap:
 
     def power(self, x: int, k: int) -> int:
         """T^k x: at most the tail is walked, then the cycle is indexed."""
-        _check_count(k)
+        require_int("iteration count", k, 0)
         t, cycle, entry = self._rho[self.space.check_point(x)]
         if k >= t:
             return cycle[(entry + k - t) % len(cycle)]
@@ -127,7 +127,7 @@ class ShiftMap:
         (``x_m -> x_{m+k}``, the anchors swap when ``k`` is odd) is left
         for a change that updates that check.
         """
-        _check_count(k)
+        require_int("iteration count", k, 0)
         p = self.space.check_point(p)
         for _ in range(k):
             p = self.apply(p)
@@ -135,11 +135,6 @@ class ShiftMap:
 
 
 MapModel = Union[TableMap, ShiftMap]
-
-
-def _check_count(k: int) -> None:
-    if k < 0:
-        raise BadParamsError(f"iteration count must be >= 0, got {k}")
 
 
 def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
@@ -158,8 +153,7 @@ def prime_period(map_: MapModel, x: PointRef, max_p: int) -> int | None:
     Read off ``rho(x)``: x returns to itself exactly when it lies on its
     cycle (tail 0), and then its prime period is the cycle's length.
     """
-    if max_p < 1:
-        raise BadParamsError(f"max_p must be >= 1, got {max_p}")
+    require_int("max_p", max_p, 1)
     shape = map_.rho(x)
     if shape is None or shape[0] > 0 or len(shape[1]) > max_p:
         return None

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .analysis import Verdict, alpha_exact
-from .errors import BadParamsError
+from .errors import require_int, require_kind
 from .maps import MapModel, TableMap
 from .solver import PeriodicSolution, divisors
 from .spaces import FiniteSpace
@@ -51,12 +51,8 @@ def enumerate_periodic(
     prime period. ``full_scan`` scans every period up to |X| instead,
     which can exhibit periods that do not divide n on non-contractions.
     """
-    if not isinstance(space, FiniteSpace):
-        raise BadParamsError(
-            f"the oracle enumerates finite spaces only, got {type(space).__name__}"
-        )
-    if n < 1:
-        raise BadParamsError(f"order must be >= 1, got {n}")
+    require_kind("enumerate_periodic", space, FiniteSpace)
+    require_int("order", n, 1)
     candidates = set(range(1, space.size + 1)) if full_scan else set(divisors(n))
     horizon = max(candidates)
     periodic = []
@@ -94,8 +90,7 @@ def random_instance(seed: int, max_points: int) -> Tuple[FiniteSpace, TableMap]:
     all-pairs shortest paths in exact rationals, so validation always
     passes. Same seed, same instance.
     """
-    if not 2 <= max_points <= 12:
-        raise BadParamsError(f"max_points must be between 2 and 12, got {max_points}")
+    require_int("max_points", max_points, 2, 12)
     rng = random.Random(seed)
     size = rng.randint(2, max_points)
     dist = [[Fraction(0)] * size for _ in range(size)]

@@ -36,6 +36,8 @@ from .errors import (
     GammaOutOfRangeError,
     NotConvergedError,
     ToleranceAmbiguityError,
+    require_int,
+    require_tolerance,
 )
 from .maps import MapModel, iterate
 from .spaces import PointRef, SpaceModel
@@ -76,8 +78,7 @@ def cauchy_tail_bound(d1, gamma, k: int):
         raise GammaOutOfRangeError(f"gamma must lie in [0, 1), got {gamma}")
     if d1 < 0:
         raise BadParamsError(f"first step distance cannot be negative, got {d1}")
-    if k < 1:
-        raise BadParamsError(f"term index k must be >= 1, got {k}")
+    require_int("term index k", k, 1)
     return gamma ** (k - 1) * d1 / (1 - gamma)
 
 
@@ -102,8 +103,7 @@ class TailBoundStopper:
     """
 
     def __init__(self, tol: float):
-        if not tol > 0:  # NaN included
-            raise BadParamsError(f"tolerance must be positive, got {tol}")
+        require_tolerance("tol", tol)
         self.tol = tol
         self.first = None
         self.last = None
@@ -167,12 +167,9 @@ def advance_subsequences(
     NotConvergedError if some strand has not converged after ``max_outer``
     terms.
     """
-    if n < 1:
-        raise BadParamsError(f"order must be >= 1, got {n}")
-    if max_outer < 2:
-        raise BadParamsError(f"max_outer must be >= 2, got {max_outer}")
-    if not tol > 0:  # checked here too, since an orbit read off a cycle needs no stopper
-        raise BadParamsError(f"tolerance must be positive, got {tol}")
+    require_int("order", n, 1)
+    require_int("max_outer", max_outer, 2)
+    require_tolerance("tol", tol)  # here too: an orbit read off a cycle needs no stopper
     shape = map_.rho(start)
     if shape is not None:
         t, cycle, entry = shape
@@ -248,8 +245,8 @@ def classify_limits(
     any inconsistency raises ToleranceAmbiguityError.
     """
     n = len(limits)
-    if n < 1:
-        raise BadParamsError(f"need at least one limit, got {n}")
+    require_int("number of limits", n, 1)
+    require_tolerance("cluster_tol", cluster_tol, zero_ok=True)
     period = None
     for q in divisors(n):
         if all(
@@ -316,6 +313,7 @@ def solve(
     it back. When every strand ended constant the limits are exact, and
     classification and verification use tolerance 0.
     """
+    require_tolerance("cluster_tol", cluster_tol, zero_ok=True)
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
     if all(st.last_step == 0 for st in states):

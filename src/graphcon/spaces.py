@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from operator import add, gt
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -33,6 +33,7 @@ from .errors import (
     NonSquareError,
     SymmetryViolationError,
     TriangleViolationError,
+    require_int,
 )
 
 __all__ = [
@@ -75,29 +76,24 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational distance")
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-_INFINITIES = (math.inf, -math.inf)
-
-
 def validate_finite(dist: Sequence[Sequence]) -> tuple:
     """Check the metric axioms on a square matrix, exactly, and return it
-    as a tuple of rows holding each entry at its exact value.
+    as a tuple of rows of ``Fraction``s, each entry read by ``as_fraction``.
 
     Raises the error for the first violated axiom, scanning axioms in the
     order: squareness, finiteness (no infinite or NaN entry),
     non-negativity, identity (zero diagonal, positive off-diagonal),
     symmetry, triangle inequality. The raised error carries
     the witnessing indices; ``TriangleViolationError`` indices ``(i, j, k)``
-    mean ``d(i,j) > d(i,k) + d(k,j)``.
+    mean ``d(i,j) > d(i,k) + d(k,j)``. Any other entry ``as_fraction``
+    refuses raises its error; the first bad entry in row order decides.
 
-    The stages after finiteness compare integers: entries that are neither
-    ``int`` nor ``Fraction`` (floats, decimals) are first converted to their
-    exact ``Fraction`` value, and the matrix is multiplied once by the least
-    common multiple of the denominators. Messages print the entries as
-    given. For the triangle inequality each row ``i`` is compared
-    against ``d(i,k) + row k`` for every ``k`` at C level. Only a row that
-    breaks the inequality is scanned again over ``(j, k)`` in order, so the
-    witness is still the lexicographically first ``(i, j, k)``.
+    The stages after finiteness compare integers: the matrix is multiplied
+    once by the least common multiple of the denominators. Messages print
+    the entries as given. For the triangle inequality each row ``i`` is
+    compared against ``d(i,k) + row k`` for every ``k`` at C level. Only a
+    row that breaks the inequality is scanned again over ``(j, k)`` in
+    order, so the witness is still the lexicographically first ``(i, j, k)``.
     """
     n = len(dist)
     for i, row in enumerate(dist):
@@ -105,20 +101,15 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
             raise NonSquareError(
                 f"row {i} has {len(row)} entries, expected {n}", (i,)
             )
-    for i, row in enumerate(dist):
-        # an int or a Fraction is always finite, so most rows skip the scan
-        if not _EXACT_TYPES.issuperset(map(type, row)):
-            for j, v in enumerate(row):
-                if isinstance(v, str):  # Fraction() below would parse it
-                    raise TypeError(f"d({i},{j}) = {v!r} is not a number")
-                if v != v or v in _INFINITIES:  # v != v only for NaN
-                    raise NonFiniteEntryError(
-                        f"d({i},{j}) = {v} is not a finite number", (i, j)
-                    )
-    exact = [
-        [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-        for row in dist
-    ]
+    try:
+        exact = [list(map(as_fraction, row)) for row in dist]
+    except (TypeError, ValueError, ZeroDivisionError):
+        for i, j in product(range(n), repeat=2):  # find the first bad entry
+            v = dist[i][j]
+            if isinstance(v, float) and not math.isfinite(v):
+                msg = f"d({i},{j}) = {v} is not a finite number"
+                raise NonFiniteEntryError(msg, (i, j)) from None
+            as_fraction(v)
     den = math.lcm(*(v.denominator for row in exact for v in row))
     scaled = [[v.numerator * (den // v.denominator) for v in row] for row in exact]
     for i, row in enumerate(scaled):
@@ -170,11 +161,9 @@ class FiniteSpace:
 
     Points are referenced by integer index into ``labels``. The matrix is
     validated on construction; an invalid matrix never yields a space.
-    ``dist`` holds the validated matrix with every entry exact, so distances
-    are ``int`` or ``Fraction``. Floats follow one of two rules: the
-    constructor takes a float at its binary value (0.1 is
-    3602879701896397/36028797018963968), while ``from_rows`` and instance
-    files take it at its shortest decimal (0.1 is 1/10).
+    Both constructors read every entry with ``as_fraction``, so ``dist``
+    holds exact ``Fraction``s: a float is its shortest decimal (0.1 is 1/10),
+    a string may be ``"p/q"`` or a decimal, and a ``bool`` is refused.
     """
 
     labels: tuple
@@ -193,9 +182,8 @@ class FiniteSpace:
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: Iterable[Iterable]) -> "FiniteSpace":
-        """Build a space from any nested sequence of rational-like entries."""
-        mat = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-        return cls(tuple(labels), mat)
+        """Build a space from any nested iterable of rational-like entries."""
+        return cls(tuple(labels), tuple(map(tuple, rows)))
 
     @property
     def size(self) -> int:
@@ -282,8 +270,7 @@ class SequenceSpace:
             )
         if not self.a < self.b:
             raise BadParamsError(f"need a < b, got a={self.a}, b={self.b}")
-        if self.max_index < 1:
-            raise BadParamsError("max_index must be positive")
+        require_int("max_index", self.max_index, 1)
         object.__setattr__(self, "gap", Fraction(self.b) - Fraction(self.a))
 
     # -- point constructors -------------------------------------------------

@@ -348,8 +348,11 @@ class TestCliBadInput:
             (TWO_PHASE_DOC, ["oracle", "--order", "2"]),
             (FIVE_SWAP_DOC, ["solve", "--order", "6", "--start", "x1", "--tol", "nan"]),
             (FIVE_SWAP_DOC, ["oracle", "--order", "0"]),
+            (TWO_PHASE_DOC, ["solve", "--order", "2", "--start", "x1", "--cluster-tol", "-1"]),
+            (FIVE_SWAP_DOC, ["solve", "--order", "6", "--start", "x1", "--cluster-tol", "nan"]),
         ],
-        ids=["order-0", "index-cap-0", "tol-0", "oracle-sequence", "tol-nan", "oracle-order-0"],
+        ids=["order-0", "index-cap-0", "tol-0", "oracle-sequence", "tol-nan", "oracle-order-0",
+             "cluster-tol-negative", "cluster-tol-nan"],
     )
     def test_out_of_range_option(self, tmp_path, capsys, doc_in, argv):
         path = write_doc(tmp_path, doc_in)

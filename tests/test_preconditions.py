@@ -11,6 +11,7 @@ from graphcon import (
     alpha_exact,
     alpha_sampled,
     cauchy_tail_bound,
+    build_case,
     check_iterated_class,
     classify_limits,
     crosscheck,
@@ -45,22 +46,42 @@ CALLS = {
     "check_iterated_class-sequence": lambda: check_iterated_class(
         *two_phase(), 1, ContractionClass.BANACH, 0.5
     ),
+    "check_iterated_class-alpha-nan": lambda: check_iterated_class(
+        *banach_chain(), 1, ContractionClass.BANACH, math.nan
+    ),
+    "check_iterated_class-alpha-text": lambda: check_iterated_class(
+        *banach_chain(), 1, ContractionClass.BANACH, "half"
+    ),
+    "check_iterated_class-unknown-class": lambda: check_iterated_class(
+        *banach_chain(), 1, "bogus", 0.5
+    ),
     "solve-finite-tol-0": lambda: solve(*five_swap(), 6, 0, tol=0),
     "solve-finite-tol-nan": lambda: solve(*five_swap(), 6, 0, tol=math.nan),
     "solve-order-0": lambda: solve(*five_swap(), 0, 0),
+    "solve-order-float": lambda: solve(*five_swap(), 2.0, 0),
+    "solve-cluster-tol-negative": lambda: solve(
+        *two_phase(), 2, two_phase()[0].x(1), cluster_tol=-1
+    ),
+    "solve-finite-cluster-tol-nan": lambda: solve(*five_swap(), 6, 0, cluster_tol=math.nan),
     "advance_subsequences-max-outer-1": lambda: advance_subsequences(
         *two_phase(), 2, two_phase()[0].x(1), max_outer=1
     ),
     "ratio-order-0": lambda: ratio(*five_swap(), 0, 0),
+    "ratio-order-float": lambda: ratio(*five_swap(), 1.5, 0),
+    "ratio-order-bool": lambda: ratio(*five_swap(), True, 0),
     "alpha_exact-sequence": lambda: alpha_exact(*two_phase(), 1),
     "alpha_sampled-finite": lambda: alpha_sampled(*five_swap(), 1),
     "alpha_sampled-index-cap-0": lambda: alpha_sampled(*two_phase(), 1, index_cap=0),
     "iterate-negative": lambda: iterate(five_swap()[1], 0, -1),
+    "iterate-float": lambda: iterate(five_swap()[1], 0, 1.5),
     "table-power-negative": lambda: five_swap()[1].power(0, -1),
     "shift-power-negative": lambda: two_phase()[1].power(two_phase()[0].x(1), -1),
     "prime_period-max-p-0": lambda: prime_period(five_swap()[1], 0, 0),
     "random_instance-max-points-1": lambda: random_instance(0, 1),
     "random_instance-max-points-13": lambda: random_instance(0, 13),
+    "random_instance-max-points-float": lambda: random_instance(0, 2.5),
+    "cauchy_tail_bound-gamma-1": lambda: cauchy_tail_bound(1.0, 1.0, 2),
+    "build_case-unknown-id": lambda: build_case("example_9_9"),
     "cauchy_tail_bound-negative-step": lambda: cauchy_tail_bound(-1.0, 0.5, 2),
     "cauchy_tail_bound-k-0": lambda: cauchy_tail_bound(1.0, 0.5, 0),
     "stopper-tol-nan": lambda: TailBoundStopper(math.nan),

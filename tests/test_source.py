@@ -32,10 +32,10 @@ def test_solver_does_not_branch_on_the_space_type():
 
 
 def test_engines_raise_only_typed_errors():
-    # a bad parameter is a BadParamsError where it is used; only the two
-    # entry parsers raise the builtin types, which instances turns into
+    # a bad parameter is a BadParamsError where it is used; only the entry
+    # parser raises the builtin types, which instances turns into
     # InstanceFormatError
-    allowed = {("spaces.py", "as_fraction"), ("spaces.py", "validate_finite")}
+    allowed = {("spaces.py", "as_fraction")}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))

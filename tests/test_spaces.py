@@ -203,9 +203,9 @@ class TestValidateFinite:
                 [[0, 0.5, 1], [0.5, 0, Fraction(0)], [1, 0.0, 0]],
                 IdentityViolationError, (1, 2), "d(1,2) = 0 for distinct points",
             ),
-            (  # the binary float 0.1 is not 1/10; 0.5 is 1/2
-                [[0, 0.5, 1], [Fraction(1, 2), 0, 0.1], [1, Fraction(1, 10), 0]],
-                SymmetryViolationError, (1, 2), "d(1,2) = 0.1 but d(2,1) = 1/10",
+            (  # the float 0.1 is read as 1/10, which is not 1/9; 0.5 is 1/2
+                [[0, 0.5, 1], [Fraction(1, 2), 0, 0.1], [1, Fraction(1, 9), 0]],
+                SymmetryViolationError, (1, 2), "d(1,2) = 0.1 but d(2,1) = 1/9",
             ),
         ],
         ids=["negative", "diagonal", "off-diagonal", "symmetry"],
@@ -217,13 +217,15 @@ class TestValidateFinite:
         assert text in str(err.value)
 
     def test_string_entry_refused(self):
-        with pytest.raises(TypeError):
-            validate_finite([[0, "1"], ["1", 0]])
+        # "p/q" and decimal strings parse as they do in from_rows; junk does not
+        assert validate_finite([[0, "0.25"], ["1/4", 0]])[1][0] == Fraction(1, 4)
+        with pytest.raises(ValueError):
+            validate_finite([[0, "one"], ["one", 0]])
 
     def test_float_entries_checked_exactly(self):
         validate_finite([[0, 0.1, 0.3], [0.1, 0, 0.2], [0.3, 0.2, 0]])
-        # 0.1 + 0.2 rounds to this float, but the exact sum of the two
-        # binary values lies below it
+        # 0.1 + 0.2 rounds to the float 0.30000000000000004, which is read
+        # at that shortest decimal, above the exact sum 3/10
         top = 0.1 + 0.2
         with pytest.raises(TriangleViolationError) as err:
             validate_finite([[0, 0.1, top], [0.1, 0, 0.2], [top, 0.2, 0]])
@@ -238,12 +240,37 @@ class TestFiniteSpace:
         assert space.distance(0, 1) == Fraction(1, 2)
 
     def test_float_entries_stored_exactly(self):
-        # the constructor takes a float at its binary value, and keeps it exact
+        # the constructor takes a float at its shortest decimal, and keeps it exact
         space = FiniteSpace(("p", "q"), ((0, 0.5), (0.5, 0)))
         assert type(space.distance(0, 1)) is Fraction
         assert space.distance(0, 1) == Fraction(1, 2)
         tenth = FiniteSpace(("p", "q"), ((0, 0.1), (0.1, 0))).distance(1, 0)
-        assert tenth == Fraction(0.1) != Fraction(1, 10)
+        assert tenth == Fraction(1, 10) != Fraction(0.1)
+
+    ENTRY_KINDS = {
+        "int": 2,
+        "fraction": Fraction(2, 3),
+        "float": 0.1,
+        "ratio-string": "1/3",
+        "decimal-string": "0.25",
+        "bool": True,
+        "inf": math.inf,
+        "nan": math.nan,
+        "none": None,
+        "zero-denominator": "1/0",
+        "huge-exponent": "1e5000",
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_KINDS.values(), ids=ENTRY_KINDS.keys())
+    def test_both_constructors_read_entries_alike(self, entry):
+        # one entry rule: equal matrices, or the same error type
+        outcomes = []
+        for build in (FiniteSpace, FiniteSpace.from_rows):
+            try:
+                outcomes.append(build(("p", "q"), ((0, entry), (entry, 0))).dist)
+            except (MetricAxiomError, TypeError, ValueError, ZeroDivisionError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_unit_space_distances(self):
         space = unit_space(5)
