@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import add, getitem, gt, mul
 from typing import Callable, Optional
 
 from .errors import BadParamsError, ConsistencyViolationError, require_int, require_kind
@@ -132,9 +134,25 @@ def _report_from_samples(order, samples, exact):
 
 
 def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport:
-    """Ratio at every point of a finite space, in exact arithmetic."""
+    """Ratio at every point of a finite space, in exact arithmetic.
+
+    Reads the space's integer matrix: the common denominator cancels in
+    each ratio, so a sample costs two ``Fraction``s and no distance call.
+    On a metric ``x = T^n x`` forces ``T^n x = T^2n x``, so a zero
+    denominator is always a trivial sample.
+    """
     require_kind("alpha_exact", space, FiniteSpace)
-    samples = [ratio(space, map_, n, x) for x in space.points()]
+    require_int("order", n, 1)
+    d, den = space.scaled, space.den
+    samples = []
+    for x in space.points():
+        tn = iterate(map_, x, n)
+        below = d[x][tn]
+        if below:
+            above = d[tn][iterate(map_, tn, n)]
+            samples.append(RatioSample(x, n, Fraction(below, den), Fraction(above, below)))
+        else:
+            samples.append(RatioSample(x, n, Fraction(0), None))
     return _report_from_samples(n, samples, exact=True)
 
 
@@ -219,25 +237,33 @@ def check_iterated_class(
     else:
         effective = alpha / (1 - alpha)
 
-    image = {x: iterate(map_, x, n) for x in space.points()}
-    d = space.distance
+    # Each row x is compared at C level over every y, in integers: the
+    # common denominator cancels, and alpha = p/q is cross-multiplied.
+    # Only a row holding the first witness, or a ratio above the tightest so
+    # far (kept as the integer pair lhs/rhs), is scanned again in Python.
+    d = space.scaled
+    p, q = alpha.numerator, alpha.denominator
+    image = [iterate(map_, x, n) for x in space.points()]
+    step = list(map(getitem, d, image))  # d(y, T^n y) for every y
     witness = None
-    tightest: Optional[Fraction] = None
-    for x in space.points():
-        for y in space.points():
-            lhs = d(image[x], image[y])
-            if cls is ContractionClass.BANACH:
-                rhs = d(x, y)
-            elif cls is ContractionClass.KANNAN:
-                rhs = d(x, image[x]) + d(y, image[y])
-            else:
-                rhs = d(x, image[y]) + d(y, image[x])
-            if lhs > alpha * rhs and witness is None:
-                witness = (x, y)
-            if rhs > 0:
-                q = lhs / rhs
-                if tightest is None or q > tightest:
-                    tightest = q
+    top = (0, 1)  # the largest lhs/rhs so far
+    informative = False  # some rhs > 0
+    for x, tx in enumerate(image):
+        lhs = list(map(d[tx].__getitem__, image))
+        if cls is ContractionClass.BANACH:
+            rhs = d[x]
+        elif cls is ContractionClass.KANNAN:
+            rhs = list(map(add, repeat(step[x]), step))
+        else:  # d(x, T^n y) + d(y, T^n x), by symmetry d(T^n x, y)
+            rhs = list(map(add, map(d[x].__getitem__, image), d[tx]))
+        informative = informative or any(rhs)
+        if witness is None and any(map(gt, map(mul, lhs, repeat(q)), map(mul, repeat(p), rhs))):
+            witness = x, next(y for y, (l, r) in enumerate(zip(lhs, rhs)) if l * q > p * r)
+        if any(map(gt, map(mul, lhs, repeat(top[1])), map(mul, repeat(top[0]), rhs))):
+            for l, r in zip(lhs, rhs):
+                if r and l * top[1] > top[0] * r:
+                    top = l, r
+    tightest = Fraction(*top) if informative else None
     holds = witness is None
     if holds:
         bound = alpha_exact(space, map_, n).alpha_min

@@ -3,8 +3,8 @@
 Two kinds of space are supported:
 
 * ``FiniteSpace``: an explicit point set with an exact rational distance
-  matrix. All oracle-grade checking happens here, so entries are
-  ``fractions.Fraction`` and every comparison is exact.
+  matrix, held as one integer matrix over a common denominator. All
+  oracle-grade checking happens here, and every comparison is exact.
 * ``SequenceSpace``: a countable subset of the real line built from one of
   two generating families (geometric approach points clustered below ``a``
   and above ``b``), with the absolute-difference distance, computed as an
@@ -17,11 +17,12 @@ threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import product, repeat
-from operator import add, gt
+from itertools import chain, product, repeat
+from operator import add, floordiv, gt, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -76,9 +77,111 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational distance")
 
 
+def _pair(value) -> tuple:
+    """One matrix entry as an integer pair ``(p, q)`` with value ``p / q``.
+
+    An ``int``, a ``Fraction`` and an ASCII ``"digits/digits"`` string with a
+    non-zero denominator are read directly; every other entry goes through
+    ``as_fraction``, so it keeps that function's value or error.
+    """
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction:
+        return value.numerator, value.denominator
+    if kind is str and value.isascii():
+        p, _, q = value.partition("/")
+        if p.isdigit() and q.isdigit() and q.strip("0"):
+            return int(p), int(q)
+    exact = as_fraction(value)
+    return exact.numerator, exact.denominator
+
+
+# a row of "p/q" strings, joined by commas
+_RATIO_ROW = re.compile(r"\d+/\d+(?:,\d+/\d+)*", re.ASCII)
+
+
+def _row_pairs(row) -> tuple:
+    """A row's numerators and denominators, as two sequences.
+
+    A row made only of ``"digits/digits"`` strings, as instance files are
+    written, is matched and split as one string; any other row is read
+    entry by entry with ``_pair``. Both give the pairs ``_pair`` gives.
+    """
+    try:
+        text = ",".join(row)
+    except TypeError:  # an entry that is not a string
+        text = ""
+    if _RATIO_ROW.fullmatch(text):
+        values = list(map(int, text.replace(",", "/").split("/")))
+        nums, dens = values[::2], values[1::2]
+        # an entry holding a comma splits into more pairs; a zero
+        # denominator is left to as_fraction to refuse
+        if len(nums) == len(row) and 0 not in dens:
+            return nums, dens
+    return tuple(zip(*map(_pair, row)))
+
+
+def _integer_metric(dist: Sequence[Sequence]) -> tuple:
+    """Read and check a distance matrix: ``(den, scaled)`` with
+    ``d(i, j) = scaled[i][j] / den``, ``scaled`` a tuple of integer rows
+    and ``den`` the least common denominator. See ``validate_finite``."""
+    n = len(dist)
+    for i, row in enumerate(dist):
+        if len(row) != n:
+            raise NonSquareError(
+                f"row {i} has {len(row)} entries, expected {n}", (i,)
+            )
+    try:
+        pairs = [_row_pairs(row) for row in dist]
+    except (TypeError, ValueError, ZeroDivisionError):
+        for i, j in product(range(n), repeat=2):  # find the first bad entry
+            v = dist[i][j]
+            if isinstance(v, float) and not math.isfinite(v):
+                msg = f"d({i},{j}) = {v} is not a finite number"
+                raise NonFiniteEntryError(msg, (i, j)) from None
+            as_fraction(v)
+    den = math.lcm(*chain.from_iterable(dens for _, dens in pairs))
+    scaled = [tuple(map(mul, nums, map(floordiv, repeat(den), dens))) for nums, dens in pairs]
+    # an unreduced "p/q" may leave a common factor; the least den is canonical
+    common = math.gcd(den, *chain.from_iterable(scaled))
+    if common > 1:
+        den //= common
+        scaled = [tuple(m // common for m in row) for row in scaled]
+    for i, row in enumerate(scaled):
+        if min(row) < 0:
+            j = next(j for j, v in enumerate(row) if v < 0)
+            raise NegativeEntryError(f"d({i},{j}) = {dist[i][j]} is negative", (i, j))
+    for i, row in enumerate(scaled):
+        if row[i] != 0:
+            raise IdentityViolationError(
+                f"d({i},{i}) = {dist[i][i]}, diagonal must be zero", (i, i)
+            )
+        if row.count(0) > 1:
+            j = next(j for j, v in enumerate(row) if v == 0 and j != i)
+            raise IdentityViolationError(f"d({i},{j}) = 0 for distinct points", (i, j))
+    for i, (row, column) in enumerate(zip(scaled, zip(*scaled))):
+        if row != column:  # earlier rows agree, so the first mismatch has j > i
+            j = next(j for j in range(i + 1, n) if row[j] != column[j])
+            raise SymmetryViolationError(
+                f"d({i},{j}) = {dist[i][j]} but d({j},{i}) = {dist[j][i]}", (i, j)
+            )
+    # The matrix is symmetric now, so a violation (i, j, k) with j < i has
+    # its mirror (j, i, k) in an earlier row: each row i is compared on
+    # j > i only, and the first row that fails is still the first witness's.
+    for i, row_i in enumerate(scaled):
+        right = i + 1
+        tail = row_i[right:]
+        for d_ik, row_k in zip(row_i, scaled):
+            if any(map(gt, tail, map(add, repeat(d_ik), row_k[right:]))):
+                _raise_first_triangle_violation(scaled, den, i)
+    return den, tuple(scaled)
+
+
 def validate_finite(dist: Sequence[Sequence]) -> tuple:
     """Check the metric axioms on a square matrix, exactly, and return it
-    as a tuple of rows of ``Fraction``s, each entry read by ``as_fraction``.
+    as a tuple of rows of ``Fraction``s, each entry read as ``as_fraction``
+    reads it.
 
     Raises the error for the first violated axiom, scanning axioms in the
     order: squareness, finiteness (no infinite or NaN entry),
@@ -88,102 +191,83 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     mean ``d(i,j) > d(i,k) + d(k,j)``. Any other entry ``as_fraction``
     refuses raises its error; the first bad entry in row order decides.
 
-    The stages after finiteness compare integers: the matrix is multiplied
-    once by the least common multiple of the denominators. Messages print
-    the entries as given. For the triangle inequality each row ``i`` is
-    compared against ``d(i,k) + row k`` for every ``k`` at C level. Only a
-    row that breaks the inequality is scanned again over ``(j, k)`` in
-    order, so the witness is still the lexicographically first ``(i, j, k)``.
+    The matrix is read once into integers over one common denominator, with
+    no ``Fraction`` per entry: an ``int``, a ``Fraction`` or a ``"p/q"``
+    string of ASCII digits directly, anything else through ``as_fraction``.
+    Every stage after finiteness compares those integers a row at a time
+    at C level (``min(row)``, ``row.count(0)``, a row against its column);
+    only a row that fails is scanned again in Python for its first witness.
+    Messages print the entries as given. For the triangle inequality each
+    row ``i`` is compared against ``d(i,k) + row k`` for every ``k``, on the
+    columns ``j > i`` only (the matrix is symmetric by then), and a failing
+    row is rescanned over ``(j, k)`` in order, so the witness is still the
+    lexicographically first ``(i, j, k)``.
     """
-    n = len(dist)
-    for i, row in enumerate(dist):
-        if len(row) != n:
-            raise NonSquareError(
-                f"row {i} has {len(row)} entries, expected {n}", (i,)
-            )
-    try:
-        exact = [list(map(as_fraction, row)) for row in dist]
-    except (TypeError, ValueError, ZeroDivisionError):
-        for i, j in product(range(n), repeat=2):  # find the first bad entry
-            v = dist[i][j]
-            if isinstance(v, float) and not math.isfinite(v):
-                msg = f"d({i},{j}) = {v} is not a finite number"
-                raise NonFiniteEntryError(msg, (i, j)) from None
-            as_fraction(v)
-    den = math.lcm(*(v.denominator for row in exact for v in row))
-    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in exact]
-    for i, row in enumerate(scaled):
-        for j, v in enumerate(row):
-            if v < 0:
-                raise NegativeEntryError(
-                    f"d({i},{j}) = {dist[i][j]} is negative", (i, j)
-                )
-    for i, row in enumerate(scaled):
-        if row[i] != 0:
-            raise IdentityViolationError(
-                f"d({i},{i}) = {dist[i][i]}, diagonal must be zero", (i, i)
-            )
-        for j, v in enumerate(row):
-            if i != j and v == 0:
-                raise IdentityViolationError(
-                    f"d({i},{j}) = 0 for distinct points", (i, j)
-                )
-    for i, row in enumerate(scaled):
-        for j in range(i + 1, n):
-            if row[j] != scaled[j][i]:
-                raise SymmetryViolationError(
-                    f"d({i},{j}) = {dist[i][j]} but d({j},{i}) = {dist[j][i]}",
-                    (i, j),
-                )
-    for i, row_i in enumerate(scaled):
-        for d_ik, row_k in zip(row_i, scaled):
-            if any(map(gt, row_i, map(add, repeat(d_ik), row_k))):
-                _raise_first_triangle_violation(exact, i)
-    return tuple(map(tuple, exact))
+    den, scaled = _integer_metric(dist)
+    return tuple(tuple(Fraction(m, den) for m in row) for row in scaled)
 
 
-def _raise_first_triangle_violation(dist, i: int) -> None:
+def _raise_first_triangle_violation(scaled, den: int, i: int) -> None:
     """Raise for the first ``(j, k)`` with ``d(i,j) > d(i,k) + d(k,j)``."""
-    row = dist[i]
-    for j in range(len(dist)):
-        for k in range(len(dist)):
-            if row[j] > row[k] + dist[k][j]:
+    row = scaled[i]
+    for j in range(len(scaled)):
+        for k in range(len(scaled)):
+            if row[j] > row[k] + scaled[k][j]:
                 raise TriangleViolationError(
-                    f"d({i},{j}) = {row[j]} exceeds "
-                    f"d({i},{k}) + d({k},{j}) = {row[k] + dist[k][j]}",
+                    f"d({i},{j}) = {Fraction(row[j], den)} exceeds "
+                    f"d({i},{k}) + d({k},{j}) = {Fraction(row[k] + scaled[k][j], den)}",
                     (i, j, k),
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteSpace:
     """Finite metric space given by labels and an exact distance matrix.
 
     Points are referenced by integer index into ``labels``. The matrix is
     validated on construction; an invalid matrix never yields a space.
-    Both constructors read every entry with ``as_fraction``, so ``dist``
-    holds exact ``Fraction``s: a float is its shortest decimal (0.1 is 1/10),
-    a string may be ``"p/q"`` or a decimal, and a ``bool`` is refused.
+    Both constructors read every entry as ``as_fraction`` does: a float is
+    its shortest decimal (0.1 is 1/10), a string may be ``"p/q"`` or a
+    decimal, and a ``bool`` is refused.
+
+    The metric is stored as one integer matrix over one denominator:
+    ``d(i, j) = scaled[i][j] / den``, with ``den`` the least such. Ratios of
+    distances do not depend on ``den``, so the finite-only engines compare
+    these integers. ``dist``, the exact view as a tuple of ``Fraction``
+    rows, is built a row at a time on first use; ``distance`` reads it.
     """
 
     labels: tuple
-    dist: tuple
+    scaled: tuple
+    den: int
+    _rows: list = field(init=False, repr=False, compare=False)  # Fraction rows or None
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.dist):
-            raise NonSquareError(
-                f"{len(self.labels)} labels but {len(self.dist)} rows", ()
-            )
-        if not self.labels:
+    def __init__(self, labels: tuple, dist: tuple):
+        if len(labels) != len(dist):
+            raise NonSquareError(f"{len(labels)} labels but {len(dist)} rows", ())
+        if not labels:
             raise BadParamsError("a finite space needs at least one point")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise BadParamsError("point labels must be distinct")
-        object.__setattr__(self, "dist", validate_finite(self.dist))
+        den, scaled = _integer_metric(dist)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_rows", [None] * len(scaled))
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: Iterable[Iterable]) -> "FiniteSpace":
         """Build a space from any nested iterable of rational-like entries."""
         return cls(tuple(labels), tuple(map(tuple, rows)))
+
+    def _exact_row(self, x: int) -> tuple:
+        row = self._rows[x] = tuple(Fraction(m, self.den) for m in self.scaled[x])
+        return row
+
+    @property
+    def dist(self) -> tuple:
+        """The exact matrix, as a tuple of ``Fraction`` rows."""
+        return tuple(self._rows[x] or self._exact_row(x) for x in self.points())
 
     @property
     def size(self) -> int:
@@ -204,7 +288,8 @@ class FiniteSpace:
         return x
 
     def distance(self, x, y) -> Fraction:
-        return self.dist[self.check_point(x)][self.check_point(y)]
+        row = self._rows[self.check_point(x)] or self._exact_row(x)
+        return row[self.check_point(y)]
 
 
 class SequenceFamily(str, Enum):
@@ -261,12 +346,21 @@ class SequenceSpace:
 
     def __post_init__(self):
         try:
+            # a family given by its id string becomes the member itself
+            object.__setattr__(self, "family", SequenceFamily(self.family))
+        except (TypeError, ValueError):
+            raise BadParamsError(
+                f"unknown sequence family {self.family!r}; expected one of "
+                f"{[f.value for f in SequenceFamily]}"
+            ) from None
+        try:
             finite = all(map(math.isfinite, (self.a, self.b, self.b - self.a)))
-        except OverflowError:  # an integer anchor past the float range
+        except (OverflowError, TypeError):  # an int past the float range, or no number
             finite = False
         if not finite:
             raise BadParamsError(
-                f"need finite anchors and a finite gap b - a, got a={self.a}, b={self.b}"
+                f"need finite real anchors and a finite gap b - a, "
+                f"got a={self.a!r}, b={self.b!r}"
             )
         if not self.a < self.b:
             raise BadParamsError(f"need a < b, got a={self.a}, b={self.b}")

@@ -11,6 +11,8 @@ from graphcon import (
     BadParamsError,
     ConsistencyViolationError,
     ContractionClass,
+    SequenceSpace,
+    ShiftMap,
     TableMap,
     Verdict,
     alpha_exact,
@@ -146,6 +148,10 @@ class TestAlphaExact:
 
 
 class TestAlphaSampled:
+    def test_family_given_by_its_id(self):
+        space = SequenceSpace("example_2_3", 0.0, 1.0)
+        assert alpha_sampled(space, ShiftMap(space), 2).alpha_min == Fraction(1, 4)
+
     def test_two_phase_order2(self, two_phase):
         space, map_ = two_phase
         rep = alpha_sampled(space, map_, 2, index_cap=200)
@@ -306,6 +312,72 @@ class TestIteratedClassCheck:
         space, map_ = banach_chain
         res = check_iterated_class(space, map_, 2, ContractionClass.KANNAN, "0.4")
         assert res.alpha == Fraction(2, 5)
+
+
+def reference_class_check(space, map_, n, cls, alpha):
+    """(holds, witness, tightest) by the plain pairwise scan in Fractions."""
+    image = {x: iterate(map_, x, n) for x in space.points()}
+    d = space.distance
+    witness = tightest = None
+    for x in space.points():
+        for y in space.points():
+            lhs = d(image[x], image[y])
+            if cls is ContractionClass.BANACH:
+                rhs = d(x, y)
+            elif cls is ContractionClass.KANNAN:
+                rhs = d(x, image[x]) + d(y, image[y])
+            else:
+                rhs = d(x, image[y]) + d(y, image[x])
+            if lhs > alpha * rhs and witness is None:
+                witness = (x, y)
+            if rhs > 0 and (tightest is None or lhs / rhs > tightest):
+                tightest = lhs / rhs
+    return witness is None, witness, tightest
+
+
+def reference_alpha_exact(space, map_, n):
+    """(alpha_min, verdict, witness, samples) from one ``ratio`` per point."""
+    samples = [ratio(space, map_, n, x) for x in space.points()]
+    values = [(s.point, s.value) for s in samples if not s.trivial]
+    over = next((x for x, v in values if v >= 1), None)
+    verdict = Verdict.CONTRACTION if over is None else Verdict.NOT_CONTRACTION
+    return max((v for _, v in values), default=0), verdict, over, tuple(samples)
+
+
+class TestIntegerEnginesMatchFractionReference:
+    ALPHAS = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))
+
+    @staticmethod
+    def instances():
+        for seed in range(60):
+            space, map_ = random_instance(seed, 12)
+            yield space, map_
+            if seed % 10 == 0:  # T^n the identity: no informative pair for kannan
+                yield space, TableMap(space, tuple(space.points()))
+
+    def test_check_iterated_class(self):
+        outcomes = {cls: set() for cls in ContractionClass}
+        for space, map_ in self.instances():
+            for n in (1, 2, 6, 12):
+                for cls in ContractionClass:
+                    for alpha in self.ALPHAS:
+                        got = check_iterated_class(space, map_, n, cls, alpha)
+                        want = reference_class_check(space, map_, n, cls, alpha)
+                        assert (got.holds, got.witness, got.tightest) == want
+                        outcomes[cls].add((got.holds, got.tightest is None))
+        for cls in ContractionClass:  # holds and fails, informative or not
+            assert {(True, False), (False, False)} <= outcomes[cls]
+        assert (False, True) in outcomes[ContractionClass.KANNAN]
+
+    def test_alpha_exact(self):
+        verdicts = set()
+        for space, map_ in self.instances():
+            for n in (1, 2, 6, 12):
+                report = alpha_exact(space, map_, n)
+                got = (report.alpha_min, report.verdict, report.witness, report.samples)
+                assert got == reference_alpha_exact(space, map_, n)
+                verdicts.add(report.verdict)
+        assert verdicts == {Verdict.CONTRACTION, Verdict.NOT_CONTRACTION}
 
 
 class TestCompositionIdentity:

@@ -7,6 +7,8 @@ import pytest
 from graphcon import (
     BadParamsError,
     ContractionClass,
+    SequenceFamily,
+    SequenceSpace,
     advance_subsequences,
     alpha_exact,
     alpha_sampled,
@@ -86,6 +88,9 @@ CALLS = {
     "cauchy_tail_bound-k-0": lambda: cauchy_tail_bound(1.0, 0.5, 0),
     "stopper-tol-nan": lambda: TailBoundStopper(math.nan),
     "classify_limits-empty": lambda: classify_limits(five_swap()[0], []),
+    "sequence-space-unknown-family": lambda: SequenceSpace("nope", 0.0, 1.0),
+    "sequence-space-anchor-text": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, "0", 1.0),
+    "sequence-space-anchor-none": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, None),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -179,6 +180,9 @@ class TestValidateFinite:
     def test_triangle_witness_matches_reference_scan(self, dist):
         expected = axiom_outcome(reference_triangle_scan, dist)
         assert axiom_outcome(validate_finite, dist) == expected
+        # the same matrix as an instance file writes it: rows of "p/q" strings
+        ratios = [[f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in row] for row in dist]
+        assert axiom_outcome(validate_finite, ratios) == expected
 
     def test_mixed_int_and_fraction_entries(self):
         half, three_halves = Fraction(1, 2), Fraction(3, 2)
@@ -211,6 +215,40 @@ class TestValidateFinite:
         ids=["negative", "diagonal", "off-diagonal", "symmetry"],
     )
     def test_mixed_entries_per_stage(self, dist, error, indices, text):
+        with pytest.raises(error) as err:
+            validate_finite(dist)
+        assert err.value.indices == indices
+        assert text in str(err.value)
+
+    @pytest.mark.parametrize(
+        "dist, error, indices, text",
+        [
+            (
+                [["0/1", "1/2", "1/3"], ["1/2", "0/1", "-1/4"], ["1/3", "-1/4", "0/1"]],
+                NegativeEntryError, (1, 2), "d(1,2) = -1/4 is negative",
+            ),
+            (
+                [["0/1", "1/2", "1/1"], ["1/2", "2/8", "2/1"], ["1/1", "2/1", "0/1"]],
+                IdentityViolationError, (1, 1), "d(1,1) = 2/8, diagonal must be zero",
+            ),
+            (
+                [["0/1", "1/2", "1/1"], ["1/2", "0/1", "0/3"], ["1/1", "0/5", "0/1"]],
+                IdentityViolationError, (1, 2), "d(1,2) = 0 for distinct points",
+            ),
+            (
+                [["0/1", "1/2", "1/1"], ["2/4", "0/1", "1/10"], ["1/1", "1/9", "0/1"]],
+                SymmetryViolationError, (1, 2), "d(1,2) = 1/10 but d(2,1) = 1/9",
+            ),
+            (
+                [["0/1", "1/2", "4/2"], ["2/4", "0/1", "1/1"], ["2/1", "1/1", "0/1"]],
+                TriangleViolationError, (0, 2, 1), "d(0,2) = 2 exceeds d(0,1) + d(1,2) = 3/2",
+            ),
+        ],
+        ids=["negative", "diagonal", "off-diagonal", "symmetry", "triangle"],
+    )
+    def test_ratio_string_rows_per_stage(self, dist, error, indices, text):
+        # rows of "p/q" strings, read as one string each, keep every stage's
+        # witness; messages print the entries as given, triangle sums reduced
         with pytest.raises(error) as err:
             validate_finite(dist)
         assert err.value.indices == indices
@@ -252,7 +290,16 @@ class TestFiniteSpace:
         "fraction": Fraction(2, 3),
         "float": 0.1,
         "ratio-string": "1/3",
+        "unreduced-ratio-string": "2/4",
         "decimal-string": "0.25",
+        "signed-ratio-string": "+1/2",
+        "negative-ratio-string": "-1/2",
+        "padded-ratio-string": " 1/2 ",
+        "underscore-ratio-string": "1_0/3",
+        "arabic-indic-digits": "\u0661/\u0662",
+        "superscript-digit": "\u00b2/3",
+        "two-ratios-one-entry": "1/2,3/4",
+        "digits-past-limit": "1" * 5000 + "/3",
         "bool": True,
         "inf": math.inf,
         "nan": math.nan,
@@ -263,14 +310,42 @@ class TestFiniteSpace:
 
     @pytest.mark.parametrize("entry", ENTRY_KINDS.values(), ids=ENTRY_KINDS.keys())
     def test_both_constructors_read_entries_alike(self, entry):
-        # one entry rule: equal matrices, or the same error type
-        outcomes = []
-        for build in (FiniteSpace, FiniteSpace.from_rows):
+        # one entry rule: both constructors and validate_finite give the matrix
+        # of as_fraction's value, or the error it leads to, whether the rows
+        # hold only "p/q" strings (a "0/1" diagonal) or not (an int diagonal)
+        try:
+            value = as_fraction(entry)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            expected = (type(exc), str(exc))
+            if isinstance(entry, float):
+                expected = (NonFiniteEntryError, f"d(0,1) = {entry} is not a finite number")
+        else:
+            expected = ((0, value), (value, 0))
+            if value < 0:
+                expected = (NegativeEntryError, f"d(0,1) = {entry} is negative")
+        builds = (
+            lambda rows: FiniteSpace(("p", "q"), rows).dist,
+            lambda rows: FiniteSpace.from_rows(["p", "q"], rows).dist,
+            validate_finite,
+        )
+        for build, zero in product(builds, (0, "0/1")):
             try:
-                outcomes.append(build(("p", "q"), ((0, entry), (entry, 0))).dist)
+                got = build(((zero, entry), (entry, zero)))
             except (MetricAxiomError, TypeError, ValueError, ZeroDivisionError) as exc:
-                outcomes.append(type(exc))
-        assert outcomes[0] == outcomes[1]
+                got = (type(exc), str(exc))
+            assert got == expected
+
+    def test_one_canonical_denominator(self):
+        # an unreduced "p/q" builds the space its reduced value builds
+        halves = FiniteSpace(("p", "q"), (("0/1", "2/4"), ("2/4", "0/1")))
+        assert halves == FiniteSpace(("p", "q"), ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+        assert hash(halves) == hash(FiniteSpace.from_rows("pq", [[0, 0.5], ["1/2", 0]]))
+        assert (halves.den, halves.scaled) == (2, ((0, 1), (1, 0)))
+        mixed = FiniteSpace.from_rows(
+            "pqr", [["0/1", "1/6", "5/6"], ["1/6", 0, "3/4"], [Fraction(5, 6), 0.75, 0]]
+        )
+        assert (mixed.den, mixed.scaled[0]) == (12, (0, 2, 10))
+        assert mixed.distance(1, 2) == Fraction(3, 4) and mixed.dist[2][0] == Fraction(5, 6)
 
     def test_unit_space_distances(self):
         space = unit_space(5)
@@ -399,6 +474,13 @@ class TestSequenceSpaceContract:
     def test_requires_finite_anchors_and_gap(self, a, b):
         with pytest.raises(BadParamsError):
             SequenceSpace(SequenceFamily.TWO_PHASE, a, b)
+
+    def test_family_given_by_its_id(self):
+        # the id string names the same family as the member, not the other one
+        space = SequenceSpace("example_2_3", 0.0, 1.0)
+        assert space.family is SequenceFamily.TWO_PHASE
+        assert space.distance(space.x(1), space.x(3)) == Fraction(3, 8)
+        assert space == SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0)
 
     def test_index_cap(self):
         space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
