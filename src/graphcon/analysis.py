@@ -134,25 +134,9 @@ def _report_from_samples(order, samples, exact):
 
 
 def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport:
-    """Ratio at every point of a finite space, in exact arithmetic.
-
-    Reads the space's integer matrix: the common denominator cancels in
-    each ratio, so a sample costs two ``Fraction``s and no distance call.
-    On a metric ``x = T^n x`` forces ``T^n x = T^2n x``, so a zero
-    denominator is always a trivial sample.
-    """
+    """Ratio at every point of a finite space, in exact arithmetic."""
     require_kind("alpha_exact", space, FiniteSpace)
-    require_int("order", n, 1)
-    d, den = space.scaled, space.den
-    samples = []
-    for x in space.points():
-        tn = iterate(map_, x, n)
-        below = d[x][tn]
-        if below:
-            above = d[tn][iterate(map_, tn, n)]
-            samples.append(RatioSample(x, n, Fraction(below, den), Fraction(above, below)))
-        else:
-            samples.append(RatioSample(x, n, Fraction(0), None))
+    samples = [ratio(space, map_, n, x) for x in space.points()]
     return _report_from_samples(n, samples, exact=True)
 
 
@@ -243,7 +227,7 @@ def check_iterated_class(
     # far (kept as the integer pair lhs/rhs), is scanned again in Python.
     d = space.scaled
     p, q = alpha.numerator, alpha.denominator
-    image = [iterate(map_, x, n) for x in space.points()]
+    image = [space.check_point(iterate(map_, x, n)) for x in space.points()]
     step = list(map(getitem, d, image))  # d(y, T^n y) for every y
     witness = None
     top = (0, 1)  # the largest lhs/rhs so far

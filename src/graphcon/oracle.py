@@ -27,8 +27,6 @@ __all__ = [
     "crosscheck",
 ]
 
-WEIGHT_DEN = 12  # random_instance weights are multiples of 1/12
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -57,7 +55,8 @@ def enumerate_periodic(
     require_int("order", n, 1)
     candidates = set(range(1, space.size + 1)) if full_scan else set(divisors(n))
     horizon = max(candidates)
-    image = [map_.apply(x) for x in space.points()]  # the map, read once
+    # the map, read once; an image outside the space is refused here
+    image = [space.check_point(map_.apply(x)) for x in space.points()]
     periodic = []
     for x in space.points():
         y = x
@@ -89,19 +88,18 @@ def enumerate_periodic(
 def random_instance(seed: int, max_points: int) -> Tuple[FiniteSpace, TableMap]:
     """Seeded random finite space with a random self-map.
 
-    Random symmetric positive edge weights ``p/q`` (``p`` in 1..12, ``q``
-    in 1..4) are completed to a metric by all-pairs shortest paths, run
-    on the integers ``12 p/q`` (12 is the lcm of 1..4), so validation
-    always passes. Same seed, same instance.
+    Random symmetric positive edge weights are completed to a metric by
+    all-pairs shortest paths in exact rationals, so validation always
+    passes. Same seed, same instance.
     """
     require_int("max_points", max_points, 2, 12)
     rng = random.Random(seed)
     size = rng.randint(2, max_points)
-    dist = [[0] * size for _ in range(size)]
+    dist = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            p, q = rng.randint(1, 12), rng.randint(1, 4)
-            dist[i][j] = dist[j][i] = p * (WEIGHT_DEN // q)
+            w = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            dist[i][j] = dist[j][i] = w
     for k in range(size):
         for i in range(size):
             dik = dist[i][k]
@@ -110,7 +108,7 @@ def random_instance(seed: int, max_points: int) -> Tuple[FiniteSpace, TableMap]:
                 if through < dist[i][j]:
                     dist[i][j] = through
     labels = tuple(f"x{i + 1}" for i in range(size))
-    space = FiniteSpace(labels, tuple(tuple(Fraction(m, WEIGHT_DEN) for m in row) for row in dist))
+    space = FiniteSpace(labels, tuple(tuple(row) for row in dist))
     images = tuple(rng.randrange(size) for _ in range(size))
     return space, TableMap(space, images)
 

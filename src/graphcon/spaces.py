@@ -17,7 +17,6 @@ threads.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -97,35 +96,33 @@ def _pair(value) -> tuple:
     return exact.numerator, exact.denominator
 
 
-# a row of "p/q" strings, joined by commas
-_RATIO_ROW = re.compile(r"\d+/\d+(?:,\d+/\d+)*", re.ASCII)
+def validate_finite(dist: Sequence[Sequence], *, integer: bool = False) -> tuple:
+    """Check the metric axioms on a square matrix, exactly, and return it
+    as a tuple of rows of ``Fraction``s, each entry read as ``as_fraction``
+    reads it. With ``integer=True`` return ``(den, scaled)`` instead, with
+    ``d(i, j) = scaled[i][j] / den``, ``scaled`` a tuple of integer rows and
+    ``den`` the least common denominator; no ``Fraction`` is built.
 
+    Raises the error for the first violated axiom, scanning axioms in the
+    order: squareness, finiteness (no infinite or NaN entry),
+    non-negativity, identity (zero diagonal, positive off-diagonal),
+    symmetry, triangle inequality. The raised error carries
+    the witnessing indices; ``TriangleViolationError`` indices ``(i, j, k)``
+    mean ``d(i,j) > d(i,k) + d(k,j)``. Any other entry ``as_fraction``
+    refuses raises its error; the first bad entry in row order decides.
 
-def _row_pairs(row) -> tuple:
-    """A row's numerators and denominators, as two sequences.
-
-    A row made only of ``"digits/digits"`` strings, as instance files are
-    written, is matched and split as one string; any other row is read
-    entry by entry with ``_pair``. Both give the pairs ``_pair`` gives.
+    The matrix is read once into integers over one common denominator, with
+    no ``Fraction`` per entry: an ``int``, a ``Fraction`` or a ``"p/q"``
+    string of ASCII digits directly, anything else through ``as_fraction``.
+    Every stage after finiteness compares those integers a row at a time
+    at C level (``min(row)``, ``row.count(0)``, a row against its column);
+    only a row that fails is scanned again in Python for its first witness.
+    Messages print the entries as given. For the triangle inequality each
+    row ``i`` is compared against ``d(i,k) + row k`` for every ``k``, on the
+    columns ``j > i`` only (the matrix is symmetric by then), and a failing
+    row is rescanned over ``(j, k)`` in order, so the witness is still the
+    lexicographically first ``(i, j, k)``.
     """
-    try:
-        text = ",".join(row)
-    except TypeError:  # an entry that is not a string
-        text = ""
-    if _RATIO_ROW.fullmatch(text):
-        values = list(map(int, text.replace(",", "/").split("/")))
-        nums, dens = values[::2], values[1::2]
-        # an entry holding a comma splits into more pairs; a zero
-        # denominator is left to as_fraction to refuse
-        if len(nums) == len(row) and 0 not in dens:
-            return nums, dens
-    return tuple(zip(*map(_pair, row)))
-
-
-def _integer_metric(dist: Sequence[Sequence]) -> tuple:
-    """Read and check a distance matrix: ``(den, scaled)`` with
-    ``d(i, j) = scaled[i][j] / den``, ``scaled`` a tuple of integer rows
-    and ``den`` the least common denominator. See ``validate_finite``."""
     n = len(dist)
     for i, row in enumerate(dist):
         if len(row) != n:
@@ -133,7 +130,7 @@ def _integer_metric(dist: Sequence[Sequence]) -> tuple:
                 f"row {i} has {len(row)} entries, expected {n}", (i,)
             )
     try:
-        pairs = [_row_pairs(row) for row in dist]
+        pairs = [tuple(zip(*map(_pair, row))) for row in dist]  # (nums, dens)
     except (TypeError, ValueError, ZeroDivisionError):
         for i, j in product(range(n), repeat=2):  # find the first bad entry
             v = dist[i][j]
@@ -175,35 +172,8 @@ def _integer_metric(dist: Sequence[Sequence]) -> tuple:
         for d_ik, row_k in zip(row_i, scaled):
             if any(map(gt, tail, map(add, repeat(d_ik), row_k[right:]))):
                 _raise_first_triangle_violation(scaled, den, i)
-    return den, tuple(scaled)
-
-
-def validate_finite(dist: Sequence[Sequence]) -> tuple:
-    """Check the metric axioms on a square matrix, exactly, and return it
-    as a tuple of rows of ``Fraction``s, each entry read as ``as_fraction``
-    reads it.
-
-    Raises the error for the first violated axiom, scanning axioms in the
-    order: squareness, finiteness (no infinite or NaN entry),
-    non-negativity, identity (zero diagonal, positive off-diagonal),
-    symmetry, triangle inequality. The raised error carries
-    the witnessing indices; ``TriangleViolationError`` indices ``(i, j, k)``
-    mean ``d(i,j) > d(i,k) + d(k,j)``. Any other entry ``as_fraction``
-    refuses raises its error; the first bad entry in row order decides.
-
-    The matrix is read once into integers over one common denominator, with
-    no ``Fraction`` per entry: an ``int``, a ``Fraction`` or a ``"p/q"``
-    string of ASCII digits directly, anything else through ``as_fraction``.
-    Every stage after finiteness compares those integers a row at a time
-    at C level (``min(row)``, ``row.count(0)``, a row against its column);
-    only a row that fails is scanned again in Python for its first witness.
-    Messages print the entries as given. For the triangle inequality each
-    row ``i`` is compared against ``d(i,k) + row k`` for every ``k``, on the
-    columns ``j > i`` only (the matrix is symmetric by then), and a failing
-    row is rescanned over ``(j, k)`` in order, so the witness is still the
-    lexicographically first ``(i, j, k)``.
-    """
-    den, scaled = _integer_metric(dist)
+    if integer:
+        return den, tuple(scaled)
     return tuple(tuple(Fraction(m, den) for m in row) for row in scaled)
 
 
@@ -249,7 +219,7 @@ class FiniteSpace:
             raise BadParamsError("a finite space needs at least one point")
         if len(set(labels)) != len(labels):
             raise BadParamsError("point labels must be distinct")
-        den, scaled = _integer_metric(dist)
+        den, scaled = validate_finite(dist, integer=True)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "den", den)

@@ -335,16 +335,7 @@ def reference_class_check(space, map_, n, cls, alpha):
     return witness is None, witness, tightest
 
 
-def reference_alpha_exact(space, map_, n):
-    """(alpha_min, verdict, witness, samples) from one ``ratio`` per point."""
-    samples = [ratio(space, map_, n, x) for x in space.points()]
-    values = [(s.point, s.value) for s in samples if not s.trivial]
-    over = next((x for x, v in values if v >= 1), None)
-    verdict = Verdict.CONTRACTION if over is None else Verdict.NOT_CONTRACTION
-    return max((v for _, v in values), default=0), verdict, over, tuple(samples)
-
-
-class TestIntegerEnginesMatchFractionReference:
+class TestIntegerClassCheckMatchesFractionReference:
     ALPHAS = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))
 
     @staticmethod
@@ -368,16 +359,6 @@ class TestIntegerEnginesMatchFractionReference:
         for cls in ContractionClass:  # holds and fails, informative or not
             assert {(True, False), (False, False)} <= outcomes[cls]
         assert (False, True) in outcomes[ContractionClass.KANNAN]
-
-    def test_alpha_exact(self):
-        verdicts = set()
-        for space, map_ in self.instances():
-            for n in (1, 2, 6, 12):
-                report = alpha_exact(space, map_, n)
-                got = (report.alpha_min, report.verdict, report.witness, report.samples)
-                assert got == reference_alpha_exact(space, map_, n)
-                verdicts.add(report.verdict)
-        assert verdicts == {Verdict.CONTRACTION, Verdict.NOT_CONTRACTION}
 
 
 class TestCompositionIdentity:

@@ -61,3 +61,17 @@ def test_traced_solve_counts_the_applications_the_benchmark_expects():
             hooks.uninstall()
         proper = sum(q for q in range(1, sol.period) if n % q == 0)
         assert applies == sol.iterations_used + n + sol.period + proper, start
+
+
+def test_traced_finite_space_counts_its_validation():
+    # a FiniteSpace checks its matrix through validate_finite, so the
+    # benchmark's spaces.validate_finite layer holds the validation time
+    tracer = load_tracer()
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        graphcon.FiniteSpace.from_rows("pq", [[0, "1/2"], ["1/2", 0]])
+        calls = hooks.calls("spaces.validate_finite")
+    finally:
+        hooks.uninstall()
+    assert calls == 1

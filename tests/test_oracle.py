@@ -1,8 +1,6 @@
 """Exhaustive enumeration, random instances, solver crosschecks."""
 
 import dataclasses
-import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -85,31 +83,7 @@ class TestEnumeratePeriodic:
                 assert len(in_orbits) == len(set(in_orbits))
 
 
-def reference_random_instance(seed, max_points):
-    """(dist, images) drawn as random_instance draws them, with Floyd-Warshall
-    run on Fractions."""
-    rng = random.Random(seed)
-    size = rng.randint(2, max_points)
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = Fraction(rng.randint(1, 12), rng.randint(1, 4))
-            dist[i][j] = dist[j][i] = w
-    for k in range(size):
-        for i in range(size):
-            for j in range(size):
-                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
-    images = tuple(rng.randrange(size) for _ in range(size))
-    return tuple(map(tuple, dist)), images
-
-
 class TestRandomInstance:
-    def test_matches_fraction_reference(self):
-        for seed in range(200):
-            max_points = 2 + seed % 11
-            space, map_ = random_instance(seed, max_points)
-            assert (space.dist, map_.images) == reference_random_instance(seed, max_points)
-
     def test_construction_is_valid(self):
         space, map_ = random_instance(1, 5)
         validate_finite(space.dist)

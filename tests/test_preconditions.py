@@ -7,6 +7,7 @@ import pytest
 from graphcon import (
     BadParamsError,
     ContractionClass,
+    InvalidPointError,
     SequenceFamily,
     SequenceSpace,
     advance_subsequences,
@@ -26,7 +27,7 @@ from graphcon import (
 )
 from graphcon.solver import TailBoundStopper
 
-from builders import banach_chain, five_swap, two_phase
+from builders import banach_chain, five_swap, two_phase, unit_space
 
 
 def _crosscheck_on_sequence():
@@ -98,3 +99,19 @@ CALLS = {
 def test_bad_parameter_raises_bad_params(call):
     with pytest.raises(BadParamsError):
         call()
+
+
+# five_swap's map sends point 2 to 3, outside a space of three points
+FOREIGN_MAP_CALLS = {
+    "alpha_exact": lambda space, map_: alpha_exact(space, map_, 1),
+    "check_iterated_class": lambda space, map_: check_iterated_class(
+        space, map_, 1, ContractionClass.BANACH, 0.5
+    ),
+    "enumerate_periodic": lambda space, map_: enumerate_periodic(space, map_, 6),
+}
+
+
+@pytest.mark.parametrize("call", FOREIGN_MAP_CALLS.values(), ids=FOREIGN_MAP_CALLS.keys())
+def test_map_over_a_larger_space_raises_invalid_point(call):
+    with pytest.raises(InvalidPointError):
+        call(unit_space(3), five_swap()[1])
