@@ -68,7 +68,6 @@ def _cmd_solve(args):
         args.order,
         start,
         tol=args.tol,
-        cluster_tol=args.cluster_tol,
         max_outer=args.max_outer,
     )
     doc = {
@@ -164,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
-    p.add_argument("--cluster-tol", type=float, default=solver.DEFAULT_CLUSTER_TOL)
     p.add_argument("--max-outer", type=int, default=solver.DEFAULT_MAX_OUTER)
     p.set_defaults(fn=_cmd_solve)
 
@@ -189,8 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         doc, code, summary = args.fn(args)
     except GraphconError as exc:

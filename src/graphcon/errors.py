@@ -77,8 +77,8 @@ class ToleranceAmbiguityError(GraphconError):
 
     Either no divisor-length cyclic shift matches the limits within the
     cluster tolerance, or the chosen block still contains a pair closer
-    than that tolerance. Signals a mis-set tolerance, never a valid
-    solver outcome.
+    than that tolerance. Signals a tolerance (in ``solve``, ``tol``) too
+    coarse for the spacing of the limits, never a valid solver outcome.
     """
 
 

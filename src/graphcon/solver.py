@@ -302,22 +302,22 @@ def solve(
     n: int,
     start: PointRef,
     tol: float = DEFAULT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     max_outer: int = DEFAULT_MAX_OUTER,
 ) -> PeriodicSolution:
     """Find a periodic point by advancing and classifying the n subsequences.
 
-    After classification the solution is verified: consecutive limits must
-    chain under T within ``cluster_tol``, the representative must return to
-    itself after p steps, and no proper divisor below p may already bring
-    it back. When every strand ended constant the limits are exact, and
-    classification and verification use tolerance 0.
+    The limits are clustered within ``1000 * tol`` (``DEFAULT_CLUSTER_TOL``
+    at the default), then verified: consecutive limits must chain under T,
+    the representative must return to itself after p steps, and no proper
+    divisor below p may already bring it back. When every strand ended
+    constant the limits are exact, and both steps use tolerance 0.
     """
-    require_tolerance("cluster_tol", cluster_tol, zero_ok=True)
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
     if all(st.last_step == 0 for st in states):
         cluster_tol = 0
+    else:  # min(): an int or Fraction tol past the float range would overflow
+        cluster_tol = DEFAULT_CLUSTER_TOL * (min(tol, 1e308) / DEFAULT_TOL)
     case, period = classify_limits(space, limits, cluster_tol=cluster_tol)
 
     for i in range(n):
@@ -325,8 +325,8 @@ def solve(
         if gap > cluster_tol:
             raise ConsistencyViolationError(
                 f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {float(gap)}; "
-                "the map is not continuous at the limits or the tolerances "
-                "are inconsistent"
+                "the map is not continuous at the limits or the strands have "
+                "not settled within tol"
             )
     representative = limits[0]
     residual = space.distance(iterate(map_, representative, period), representative)

@@ -96,12 +96,11 @@ def _pair(value) -> tuple:
     return exact.numerator, exact.denominator
 
 
-def validate_finite(dist: Sequence[Sequence], *, integer: bool = False) -> tuple:
+def validate_finite(dist: Sequence[Sequence]) -> tuple:
     """Check the metric axioms on a square matrix, exactly, and return it
-    as a tuple of rows of ``Fraction``s, each entry read as ``as_fraction``
-    reads it. With ``integer=True`` return ``(den, scaled)`` instead, with
-    ``d(i, j) = scaled[i][j] / den``, ``scaled`` a tuple of integer rows and
-    ``den`` the least common denominator; no ``Fraction`` is built.
+    as ``(den, scaled)``, each entry read as ``as_fraction`` reads it:
+    ``d(i, j) = scaled[i][j] / den``, with ``scaled`` a tuple of integer
+    rows and ``den`` the least common denominator; no ``Fraction`` is built.
 
     Raises the error for the first violated axiom, scanning axioms in the
     order: squareness, finiteness (no infinite or NaN entry),
@@ -172,9 +171,7 @@ def validate_finite(dist: Sequence[Sequence], *, integer: bool = False) -> tuple
         for d_ik, row_k in zip(row_i, scaled):
             if any(map(gt, tail, map(add, repeat(d_ik), row_k[right:]))):
                 _raise_first_triangle_violation(scaled, den, i)
-    if integer:
-        return den, tuple(scaled)
-    return tuple(tuple(Fraction(m, den) for m in row) for row in scaled)
+    return den, tuple(scaled)
 
 
 def _raise_first_triangle_violation(scaled, den: int, i: int) -> None:
@@ -219,7 +216,7 @@ class FiniteSpace:
             raise BadParamsError("a finite space needs at least one point")
         if len(set(labels)) != len(labels):
             raise BadParamsError("point labels must be distinct")
-        den, scaled = validate_finite(dist, integer=True)
+        den, scaled = validate_finite(dist)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "den", den)
@@ -253,7 +250,7 @@ class FiniteSpace:
             raise InvalidPointError(f"no point labelled {label!r}") from None
 
     def check_point(self, x) -> int:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.size:
+        if type(x) is not int or not 0 <= x < len(self.labels):
             raise InvalidPointError(f"{x!r} is not a point index of this space")
         return x
 

@@ -129,8 +129,7 @@ def argvs(draw):
     if command == "solve":
         # a bounded budget: sequence orders that do not contract run to it
         argv.append(f"--max-outer={draw(st.integers(min_value=-3, max_value=60))}")
-        argv += _options(draw(st.fixed_dictionaries({}, optional={
-            "tol": float_values, "cluster-tol": float_values})))
+        argv += _options(draw(st.fixed_dictionaries({}, optional={"tol": float_values})))
     return draw(documents), argv
 
 

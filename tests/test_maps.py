@@ -1,5 +1,6 @@
 """Self-map application, iteration and prime periods."""
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,8 @@ class TestApply:
             TableMap(space, (0, 1, 7))
         with pytest.raises(BadParamsError):  # a bool is not a point index
             TableMap(space, (True, 0, 1))
+        with pytest.raises(BadParamsError):  # nor is any other int subclass
+            TableMap(space, (IntEnum("Corner", ["FAR"]).FAR, 0, 1))
 
     def test_invalid_point(self, five_swap):
         _, map_ = five_swap

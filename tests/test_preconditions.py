@@ -62,10 +62,6 @@ CALLS = {
     "solve-finite-tol-nan": lambda: solve(*five_swap(), 6, 0, tol=math.nan),
     "solve-order-0": lambda: solve(*five_swap(), 0, 0),
     "solve-order-float": lambda: solve(*five_swap(), 2.0, 0),
-    "solve-cluster-tol-negative": lambda: solve(
-        *two_phase(), 2, two_phase()[0].x(1), cluster_tol=-1
-    ),
-    "solve-finite-cluster-tol-nan": lambda: solve(*five_swap(), 6, 0, cluster_tol=math.nan),
     "advance_subsequences-max-outer-1": lambda: advance_subsequences(
         *two_phase(), 2, two_phase()[0].x(1), max_outer=1
     ),
@@ -89,6 +85,12 @@ CALLS = {
     "cauchy_tail_bound-k-0": lambda: cauchy_tail_bound(1.0, 0.5, 0),
     "stopper-tol-nan": lambda: TailBoundStopper(math.nan),
     "classify_limits-empty": lambda: classify_limits(five_swap()[0], []),
+    "classify_limits-cluster-tol-negative": lambda: classify_limits(
+        five_swap()[0], [0, 1], cluster_tol=-1
+    ),
+    "classify_limits-cluster-tol-nan": lambda: classify_limits(
+        five_swap()[0], [0, 1], cluster_tol=math.nan
+    ),
     "sequence-space-unknown-family": lambda: SequenceSpace("nope", 0.0, 1.0),
     "sequence-space-anchor-text": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, "0", 1.0),
     "sequence-space-anchor-none": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, None),

@@ -14,6 +14,9 @@ from graphcon import (
     GammaOutOfRangeError,
     LimitCase,
     NotConvergedError,
+    SequenceFamily,
+    SequenceSpace,
+    ShiftMap,
     SubsequenceState,
     TableMap,
     ToleranceAmbiguityError,
@@ -520,12 +523,25 @@ class TestSolve:
         with pytest.raises(NotConvergedError):
             solve(space, map_, 2, 0, max_outer=50)
 
-    def test_inconsistent_tolerances_detected(self, two_phase):
-        # a residual tolerance far below the iteration tolerance cannot be
-        # met by the wrap-around consistency check
-        space, map_ = two_phase
-        with pytest.raises(ConsistencyViolationError):
-            solve(space, map_, 2, space.x(1), tol=1e-6, cluster_tol=1e-14)
+    def test_cluster_tolerance_follows_tol(self):
+        # the anchors lie 1e-8 apart: the default cluster tolerance 1e-7
+        # merges their 2-cycle, and 1000 * tol = 1e-10 keeps it apart
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1e-8)
+        shift = ShiftMap(space)
+        assert solve(space, shift, 2, space.x(1)).period == 1
+        sol = solve(space, shift, 2, space.x(1), tol=1e-13)
+        assert (sol.period, sol.case) == (2, LimitCase.A_ALL_DISTINCT)
+
+    def test_wrap_around_gap_detected(self, two_phase):
+        # T jumps away from the last term walked, a step the stopping rule
+        # never sees; the wrap-around consistency check does
+        space, shift = two_phase
+        last = solve(space, shift, 2, space.x(1)).limits[-1]
+        jumping = SimpleNamespace(
+            apply=lambda p: space.b_point if p == last else shift.apply(p), rho=shift.rho
+        )
+        with pytest.raises(ConsistencyViolationError, match="misses limit 1"):
+            solve(space, jumping, 2, space.x(1))
 
 
 class TestDivisors:

@@ -1,6 +1,7 @@
 """Metric-space models: axiom validation, coordinates, distances."""
 
 import math
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,12 @@ def reference_triangle_scan(dist):
                         f"d({i},{k}) + d({k},{j}) = {dist[i][k] + dist[k][j]}",
                         (i, j, k),
                     )
+
+
+def _validated_fractions(dist):
+    """The rows ``validate_finite`` returns, read as ``Fraction(scaled[i][j], den)``."""
+    den, scaled = validate_finite(dist)
+    return tuple(tuple(Fraction(m, den) for m in row) for row in scaled)
 
 
 def axiom_outcome(check, dist):
@@ -252,7 +259,8 @@ class TestValidateFinite:
 
     def test_string_entry_refused(self):
         # "p/q" and decimal strings parse as they do in from_rows; junk does not
-        assert validate_finite([[0, "0.25"], ["1/4", 0]])[1][0] == Fraction(1, 4)
+        den, scaled = validate_finite([[0, "0.25"], ["1/4", 0]])
+        assert Fraction(scaled[1][0], den) == Fraction(1, 4)
         with pytest.raises(ValueError):
             validate_finite([[0, "one"], ["one", 0]])
 
@@ -320,7 +328,7 @@ class TestFiniteSpace:
         builds = (
             lambda rows: FiniteSpace(("p", "q"), rows).dist,
             lambda rows: FiniteSpace.from_rows(["p", "q"], rows).dist,
-            validate_finite,
+            _validated_fractions,
         )
         for build in builds:
             try:
@@ -359,6 +367,10 @@ class TestFiniteSpace:
             space.distance(0, 3)
         with pytest.raises(InvalidPointError):
             space.distance("x1", 0)
+        # the rule of require_int: a plain int, so no bool or int subclass
+        for x in (True, 1.0, -1, IntEnum("Corner", ["FAR"]).FAR):
+            with pytest.raises(InvalidPointError):
+                space.check_point(x)
 
     def test_invalid_matrix_never_builds(self):
         with pytest.raises(TriangleViolationError):
