@@ -11,6 +11,9 @@ prefix of the family, and the verdict is labelled accordingly. Every
 ratio is an exact rational on both kinds of space. Sampling can refute
 (a sampled ratio above 1) but never certify an infinite space, so near-1
 sampled suprema are reported as inconclusive rather than as contractions.
+Sampling computes each orbit step d(q, T^n q) once, since the numerator
+at x is the step at T^n x; with cap c it reaches x_{c+2n}, which the
+space must hold.
 """
 
 from __future__ import annotations
@@ -104,8 +107,11 @@ def ratio(space: SpaceModel, map_: MapModel, n: int, x: PointRef) -> RatioSample
     require_int("order", n, 1)
     tn = iterate(map_, x, n)
     t2n = iterate(map_, tn, n)
-    numer = space.distance(tn, t2n)
-    denom = space.distance(x, tn)
+    return _sample(x, n, space.distance(tn, t2n), space.distance(x, tn))
+
+
+def _sample(x: PointRef, n: int, numer: Fraction, denom: Fraction) -> RatioSample:
+    """The sample numer / denom at x, or a trivial one when denom is 0."""
     if denom == 0:
         # x = T^n x forces T^n x = T^2n x
         if numer != 0:
@@ -143,10 +149,42 @@ def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport
 def alpha_sampled(
     space: SequenceSpace, map_: MapModel, n: int, index_cap: int = 200
 ) -> ContractionReport:
-    """Ratio at a, b and the first ``index_cap`` family points."""
+    """Ratio at a, b and the first ``index_cap`` family points.
+
+    The ratio at p is ``step(T^n p) / step(p)`` with ``step(q) = d(q, T^n q)``,
+    and each step is computed once per call: T is applied once per distinct
+    orbit point, ``index_cap + 2n + 1`` times under the shift, and a
+    distance is evaluated once per step, ``index_cap + n + 2`` times when
+    ``index_cap >= n``. The samples reach ``x_{index_cap + 2n}``, so a cap
+    that puts that index past the space's ``max_index`` is refused.
+    """
     require_kind("alpha_sampled", space, SequenceSpace)
     require_int("index_cap", index_cap, 1)
-    samples = [ratio(space, map_, n, p) for p in space.sample_points(index_cap)]
+    require_int("order", n, 1)
+    if index_cap + 2 * n > space.max_index:
+        raise BadParamsError(
+            f"index_cap {index_cap} at order {n} needs x{index_cap + 2 * n}, "
+            f"past max_index {space.max_index}"
+        )
+    succ = {}  # q -> T q
+    steps = {}  # q -> (T^n q, d(q, T^n q))
+
+    def step(q):
+        got = steps.get(q)
+        if got is None:
+            t = q
+            for _ in range(n):
+                nxt = succ.get(t)
+                if nxt is None:
+                    nxt = succ[t] = map_.apply(t)
+                t = nxt
+            got = steps[q] = t, space.distance(q, t)
+        return got
+
+    samples = []
+    for p in space.sample_points(index_cap):
+        tn, denom = step(p)
+        samples.append(_sample(p, n, step(tn)[1], denom))
     return _report_from_samples(n, samples, exact=False)
 
 

@@ -34,6 +34,7 @@ from .errors import (
     BadParamsError,
     ConsistencyViolationError,
     GammaOutOfRangeError,
+    InvalidPointError,
     NotConvergedError,
     ToleranceAmbiguityError,
     require_int,
@@ -165,7 +166,8 @@ def advance_subsequences(
     exactly on the (i+1)-th (and the n-th wraps to one step past the
     first), which is what the solver's consistency checks rely on. Raises
     NotConvergedError if some strand has not converged after ``max_outer``
-    terms.
+    terms, or if the orbit leaves the space first (an InvalidPointError
+    from the map or the space).
     """
     require_int("order", n, 1)
     require_int("max_outer", max_outer, 2)
@@ -185,18 +187,22 @@ def advance_subsequences(
             for i in range(n)
         ]
     orbit = [start]  # rho has checked it
-    for _ in range(n - 1):
-        orbit.append(map_.apply(orbit[-1]))
     stoppers = [TailBoundStopper(tol) for _ in range(n)]
     pending = set(range(n))
-    for _ in range(max_outer - 1):
-        for i in range(n):
-            nxt = map_.apply(orbit[-1])
-            if stoppers[i].observe(space.distance(orbit[-n], nxt)):
-                pending.discard(i)
-            orbit.append(nxt)
-        if not pending:
-            break
+    try:
+        for _ in range(n - 1):
+            orbit.append(map_.apply(orbit[-1]))
+        for _ in range(max_outer - 1):
+            for i in range(n):
+                nxt = map_.apply(orbit[-1])
+                if stoppers[i].observe(space.distance(orbit[-n], nxt)):
+                    pending.discard(i)
+                orbit.append(nxt)
+            if not pending:
+                break
+    except InvalidPointError:  # the orbit left the space
+        i = len(orbit) % n
+        raise _left_space(i + 1, stoppers[i].last, stoppers[i].gamma_hat, len(orbit)) from None
     if pending:
         st = stoppers[min(pending)]
         reason = (
@@ -214,6 +220,13 @@ def advance_subsequences(
         )
         for i in range(n)
     ]
+
+
+def _left_space(residue: int, last_step, gamma_hat, terms: int) -> NotConvergedError:
+    last = None if last_step is None else float(last_step)
+    return NotConvergedError(
+        residue, last, gamma_hat, f"the orbit leaves the space after {terms} terms"
+    )
 
 
 class LimitCase(str, Enum):
@@ -320,8 +333,13 @@ def solve(
         cluster_tol = DEFAULT_CLUSTER_TOL * (min(tol, 1e308) / DEFAULT_TOL)
     case, period = classify_limits(space, limits, cluster_tol=cluster_tol)
 
-    for i in range(n):
-        gap = space.distance(map_.apply(limits[i]), limits[(i + 1) % n])
+    for i, st in enumerate(states):
+        try:
+            image = map_.apply(limits[i])
+        except InvalidPointError:  # the strands settled on the space's last terms
+            terms = sum(len(s.terms) for s in states)
+            raise _left_space(i + 1, st.last_step, st.gamma_hat, terms) from None
+        gap = space.distance(image, limits[(i + 1) % n])
         if gap > cluster_tol:
             raise ConsistencyViolationError(
                 f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {float(gap)}; "

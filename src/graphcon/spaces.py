@@ -353,7 +353,7 @@ class SequenceSpace:
     # -- membership and distance --------------------------------------------
 
     def check_point(self, p) -> SeqPoint:
-        if not isinstance(p, SeqPoint):
+        if type(p) is not SeqPoint:
             raise InvalidPointError(f"{p!r} is not a point of a sequence space")
         if p.role == "x":
             low, high = 1, self.max_index

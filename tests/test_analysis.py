@@ -11,6 +11,7 @@ from graphcon import (
     BadParamsError,
     ConsistencyViolationError,
     ContractionClass,
+    SequenceFamily,
     SequenceSpace,
     ShiftMap,
     TableMap,
@@ -23,8 +24,9 @@ from graphcon import (
     ratio,
     ratio_limit_probe,
 )
+from graphcon.analysis import _report_from_samples
 
-from builders import unit_space
+from builders import four_phase, two_phase, unit_space
 
 
 def exact_two_phase_ratio(n, idx):
@@ -210,6 +212,61 @@ class TestAlphaSampled:
         space, map_ = five_swap
         with pytest.raises(BadParamsError):
             alpha_sampled(space, map_, 1)
+
+    def test_index_cap_within_the_space(self):
+        # the samples reach x_{cap + 2n}: at order 2 a cap of 26 fits a space
+        # capped at index 30, and 27 is refused up front, naming x31
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=30)
+        map_ = ShiftMap(space)
+        assert alpha_sampled(space, map_, 2, index_cap=26).alpha_min == Fraction(1, 4)
+        for cap, needed in [(27, "x31"), (29, "x33"), (31, "x35")]:
+            with pytest.raises(BadParamsError, match=f"needs {needed}, past max_index 30"):
+                alpha_sampled(space, map_, 2, index_cap=cap)
+
+
+def reference_sampled(space, map_, n, cap):
+    """The sampled report from one independent ``ratio`` per sample point."""
+    samples = [ratio(space, map_, n, p) for p in space.sample_points(cap)]
+    return _report_from_samples(n, samples, exact=False)
+
+
+class TestSampledReadsEachStepOnce:
+    @pytest.mark.parametrize("family", [two_phase, four_phase])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.5, 3.25)])
+    def test_matches_per_point_ratios(self, family, a, b):
+        space, map_ = family(a, b)
+        for n in range(1, 9):
+            for cap in (1, 2, 7, 128, 200):
+                assert alpha_sampled(space, map_, n, cap) == reference_sampled(
+                    space, map_, n, cap
+                ), (n, cap)
+
+    @pytest.mark.parametrize("family, n", [(two_phase, 2), (four_phase, 4)])
+    def test_matches_per_point_ratios_past_float_underflow(self, family, n):
+        space, map_ = family()
+        assert alpha_sampled(space, map_, n, 3000) == reference_sampled(space, map_, n, 3000)
+
+    @pytest.mark.parametrize("family", [two_phase, four_phase])
+    def test_each_step_once(self, family, monkeypatch):
+        # the shift's apply once per distinct orbit point (a, b and
+        # x_1 .. x_{cap + 2n - 1}), a distance once per step read: at a, b,
+        # x_1 .. x_cap and x_{n+1} .. x_{n+cap}, which overlap when cap >= n
+        counts = {"apply": 0, "distance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ShiftMap, "apply", counted("apply", ShiftMap.apply))
+        monkeypatch.setattr(SequenceSpace, "distance", counted("distance", SequenceSpace.distance))
+        space, map_ = family()
+        for n, cap in [(1, 1), (1, 200), (2, 1), (2, 29), (4, 2000), (5, 3), (8, 64)]:
+            counts.update(apply=0, distance=0)
+            alpha_sampled(space, map_, n, cap)
+            expected = {"apply": cap + 2 * n + 1, "distance": cap + min(cap, n) + 2}
+            assert counts == expected, (n, cap)
 
 
 class TestRatioLimitProbe:

@@ -337,6 +337,23 @@ class TestSolve:
             solve(space, map_, 1, space.x(1), max_outer=2000)
         assert err.value.gamma_hat > 0.99
 
+    def test_orbit_leaving_the_space_is_not_converged(self):
+        # the shift takes x30 past a space capped at index 30
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=30)
+        with pytest.raises(NotConvergedError, match="leaves the space after 30 terms"):
+            solve(space, ShiftMap(space), 1, space.x(1), max_outer=100)
+        with pytest.raises(NotConvergedError, match="leaves the space after 30 terms"):
+            solve(space, ShiftMap(space), 40, space.x(1))
+
+    def test_strands_settled_on_the_last_terms(self):
+        # from x1 at order 2 the strands settle on x35 and x36; verifying
+        # them needs T x36, so a cap of 36 stops there and 37 is enough
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=36)
+        with pytest.raises(NotConvergedError, match="leaves the space after 36 terms"):
+            solve(space, ShiftMap(space), 2, space.x(1))
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=37)
+        assert solve(space, ShiftMap(space), 2, space.x(1)).iterations_used == 35
+
     def test_multiple_of_contraction_order(self, two_phase):
         # order 4 contracts too (two order-2 rounds), limits collapse to
         # the same period-2 cycle

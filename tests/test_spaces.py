@@ -498,10 +498,18 @@ class TestSequenceSpaceContract:
 
     def test_foreign_point_rejected(self):
         # points are bare (role, n) pairs, so only what no space of this
-        # size can hold is foreign: another type, a role, an index
+        # size can hold is foreign: another type (a subclass too), a role,
+        # an index
         space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
         other = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=20)
-        for foreign in (2, ("x", 2), SeqPoint("y", 2), SeqPoint("a", 1), other.x(11)):
+
+        class SubPoint(SeqPoint):
+            pass
+
+        foreign_points = (
+            2, ("x", 2), SeqPoint("y", 2), SeqPoint("a", 1), other.x(11), SubPoint("x", 2),
+        )
+        for foreign in foreign_points:
             with pytest.raises(InvalidPointError):
                 space.distance(foreign, space.x(2))
 
