@@ -100,7 +100,10 @@ class TailBoundStopper:
     reports convergence once the empirical geometric tail bound drops below
     ``tol``. Only the first and last steps, their count and the last
     ``RATIO_WINDOW`` step ratios are kept: an exact step far out on a
-    sequence space has as many bits as its index.
+    sequence space has as many bits as its index. The first step is kept
+    as ``float(step)``, converted once: the bound is a float anyway, and
+    ``cauchy_tail_bound`` gives the same float from it as from the exact
+    step. The last step stays exact, for the next ratio and the errors.
     """
 
     def __init__(self, tol: float):
@@ -124,7 +127,7 @@ class TailBoundStopper:
         prev, self.last = self.last, step
         self.count += 1
         if prev is None:
-            self.first = step
+            self.first = float(step)
         elif not self.converged:
             self.ratios.append(_quotient(step, prev))
             self.gamma_hat = min(max(self.ratios), GAMMA_CAP)

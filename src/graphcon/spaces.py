@@ -273,9 +273,9 @@ class SequenceFamily(str, Enum):
     FOUR_PHASE = "example_2_4"
 
 
-def _offset(base: int, k: int) -> Fraction:
-    """1 / base^k, exactly."""
-    return Fraction(1, 1 << k if base == 2 else 3**k)
+def _power(base: int, k: int) -> int:
+    """base^k for base 2 or 3; for base 2 a shift, which costs far less."""
+    return 1 << k if base == 2 else 3**k
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,33 +365,46 @@ class SequenceSpace:
             raise InvalidPointError(f"{p!r} has index {p.n!r}, outside {low}..{high}")
         return p
 
-    def _side_offset(self, p: SeqPoint):
-        """Locate p as (below_a, offset): a - offset or b + offset."""
+    def _place(self, p: SeqPoint) -> tuple:
+        """Locate p as (below_a, base, k): p = a - base^-k if below_a, else
+        b + base^-k. An anchor is (below_a, 0, 0): it has no offset."""
         n = p.n
         if p.role != "x":
-            return p.role == "a", Fraction(0)
+            return p.role == "a", 0, 0
         if self.family is SequenceFamily.TWO_PHASE:
-            return n % 2 == 1, _offset(2, n)
-        r = n % 4
-        if r == 1:
-            return True, _offset(2, (n + 3) // 4)
-        if r == 2:
-            return False, _offset(2, (n + 2) // 4)
-        if r == 3:
-            return True, _offset(3, (n + 1) // 4)
-        return False, _offset(3, n // 4)
+            return n % 2 == 1, 2, n
+        return n % 2 == 1, 2 if n % 4 in (1, 2) else 3, (n + 3) // 4
 
     def distance(self, x, y) -> Fraction:
-        """Exact absolute coordinate difference, from the generating offsets."""
-        below_x, off_x = self._side_offset(self.check_point(x))
-        below_y, off_y = self._side_offset(self.check_point(y))
-        if below_x == below_y:
-            return abs(off_x - off_y)
-        return self.gap + off_x + off_y
+        """Exact absolute coordinate difference, from the generating offsets.
+
+        Points on one side are their offsets' difference apart, points on
+        opposite sides the gap b - a plus both offsets. Two offsets of one
+        base combine in closed form, |b^-i -+ b^-j| = (b^d -+ 1) / b^hi with
+        d = |i - j| and hi = max(i, j), whose gcd with b^hi is cheap. Offsets
+        of bases 2 and 3 are left to ``Fraction``'s own sum or difference:
+        one fraction over 2^i 3^j would pay a full big-integer gcd.
+        """
+        below_x, base_x, i = self._place(self.check_point(x))
+        below_y, base_y, j = self._place(self.check_point(y))
+        apart = below_x != below_y
+        if i and j:
+            if base_x == base_y:
+                sign = 1 if apart else -1
+                off = Fraction(_power(base_x, abs(i - j)) + sign, _power(base_x, max(i, j)))
+            else:
+                u, v = Fraction(1, _power(base_x, i)), Fraction(1, _power(base_y, j))
+                off = u + v if apart else abs(u - v)
+        elif i or j:  # an anchor, at offset 0, and a family point
+            off = Fraction(1, _power(max(base_x, base_y), i + j))
+        else:
+            off = Fraction(0)
+        return self.gap + off if apart else off
 
     def coord(self, p) -> float:
         """The point's coordinate, rounded once to the nearest float."""
-        below, off = self._side_offset(self.check_point(p))
+        below, base, k = self._place(self.check_point(p))
+        off = Fraction(1, _power(base, k)) if k else 0
         return float(Fraction(self.a) - off if below else Fraction(self.b) + off)
 
     def point_named(self, name: str) -> SeqPoint:

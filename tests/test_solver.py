@@ -103,6 +103,34 @@ class TestTailBoundStopper:
         assert stop.gamma_hat == 0.25
         assert stop.last != 0
 
+    @pytest.mark.parametrize(
+        "family, n, start, steps",
+        [
+            (SequenceFamily.TWO_PHASE, 2, 1, 200),
+            (SequenceFamily.FOUR_PHASE, 4, 1, 200),
+            (SequenceFamily.TWO_PHASE, 1, 1, 300),  # does not contract: never stops
+            (SequenceFamily.TWO_PHASE, 2, 1100, 200),  # first step below 2^-1074
+            (SequenceFamily.FOUR_PHASE, 4, 2700, 200),
+        ],
+    )
+    def test_bound_matches_exact_first_step(self, family, n, start, steps):
+        # the stopper keeps float(first); the bound must read as if it
+        # kept the exact step, at every observation of every strand
+        space = SequenceSpace(family, 0.0, 1.0)
+        for i in range(n):
+            stop = TailBoundStopper(DEFAULT_TOL)
+            terms = range(start + i, start + i + n * steps, n)
+            exact_steps = [space.distance(space.x(m), space.x(m + n)) for m in terms]
+            first = exact_steps[0]
+            assert isinstance(first, Fraction)
+            for step in exact_steps:
+                converged = stop.observe(step)
+                if stop.count > 1:
+                    expect = cauchy_tail_bound(first, stop.gamma_hat, stop.count + 1)
+                    assert stop.bound == expect
+                if converged:
+                    break
+
 
 class TestAdvanceSubsequences:
     def test_five_swap_order6(self, five_swap):

@@ -549,6 +549,30 @@ class TestSequenceSpaceContract:
         assert space.distance(space.a_point, x1075) == Fraction(1, 2**1075)
         assert space.distance(x1075, x1077) == Fraction(3, 2**1077)
 
+    @pytest.mark.parametrize(
+        "family, exact_coord",
+        [
+            (SequenceFamily.TWO_PHASE, two_phase_coord),
+            (SequenceFamily.FOUR_PHASE, four_phase_coord),
+        ],
+    )
+    @pytest.mark.parametrize("a, b", [(0, 1), (-2.5, 3.25), (0, 1e-8), (-1.3, 2.1)])
+    def test_distance_matches_exact_coordinates(self, family, exact_coord, a, b):
+        # every pair kind on both sides: anchor-anchor, anchor-point, one
+        # base (equal and unequal k) and, on four-phase, bases 2 and 3;
+        # offsets reach 2^-3004 on two-phase and 3^-751 on four-phase
+        space = SequenceSpace(family, a, b)
+        fa, fb = Fraction(a), Fraction(b)
+        coords = {space.a_point: fa, space.b_point: fb}
+        indices = [*range(1, 61), *range(1075, 1078), *range(1999, 2004), *range(2999, 3005)]
+        coords.update((space.x(n), exact_coord(fa, fb, n)) for n in indices)
+        for p, cp in coords.items():
+            for q, cq in coords.items():
+                d, expect = space.distance(p, q), abs(cp - cq)
+                assert type(d) is Fraction, (p, q)
+                got = d.numerator, d.denominator
+                assert got == (expect.numerator, expect.denominator), (p, q)
+
     def test_anchor_gap_immune_to_rounding(self):
         # points this close to b are unrepresentable as absolute coords,
         # yet their mutual gaps must stay exact
