@@ -38,10 +38,13 @@ def _finite_from_dict(doc: dict) -> Tuple[FiniteSpace, TableMap]:
         mapping = doc["map"]
     except KeyError as missing:
         raise InstanceFormatError(f"finite instance lacks field {missing}") from None
-    if not isinstance(labels, list) or not isinstance(mapping, dict):
+    # labels name the map's keys, and JSON object keys are always strings
+    if not isinstance(labels, list) or not isinstance(mapping, dict) or not all(
+        isinstance(p, str) for p in labels
+    ):
         raise InstanceFormatError(
-            "finite instance needs 'points' as a list and 'map' as an object "
-            "from label to image"
+            "finite instance needs 'points' as a list of strings and 'map' as "
+            "an object from label to image"
         )
     try:
         space = FiniteSpace.from_rows(labels, rows)

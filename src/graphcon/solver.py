@@ -19,7 +19,9 @@ contraction constant. Each subsequence tracks an empirical ratio estimate
 (max of its last three step ratios, clamped below 1) and stops once the
 geometric tail bound computed from it falls under the requested
 tolerance. A ratio pattern at or above 1 keeps the bound large and
-eventually surfaces as NotConvergedError.
+eventually surfaces as NotConvergedError. Limits are then compared by
+identity first: equal points are 0 apart, distinct ones are not, so no
+distance is taken for equal points or at cluster tolerance 0.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def cauchy_tail_bound(d1, gamma, k: int):
     the whole tail beyond term k is dominated by the geometric series
     gamma^(k-1) * d1 / (1 - gamma).
     """
-    if gamma < 0 or gamma >= 1:
+    if not 0 <= gamma < 1:  # written so that NaN fails too
         raise GammaOutOfRangeError(f"gamma must lie in [0, 1), got {gamma}")
-    if d1 < 0:
-        raise BadParamsError(f"first step distance cannot be negative, got {d1}")
+    if not d1 >= 0:
+        raise BadParamsError(f"first step distance must be >= 0, got {d1}")
     require_int("term index k", k, 1)
     return gamma ** (k - 1) * d1 / (1 - gamma)
 
@@ -250,6 +252,13 @@ class LimitCase(str, Enum):
     D_PERIODIC_PATTERN = "D"
 
 
+def _within(space: SpaceModel, x, y, tol) -> bool:
+    """d(x, y) <= tol for points of ``space``. Equal points are 0 apart and
+    distinct ones more than 0 (the identity axiom), so a distance is taken
+    only for distinct points at a tolerance above 0."""
+    return x == y or tol > 0 and space.distance(x, y) <= tol
+
+
 def classify_limits(
     space: SpaceModel, limits, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ):
@@ -258,17 +267,17 @@ def classify_limits(
     Returns ``(case, p)`` where p is the smallest divisor of n whose shift
     maps the limit list onto itself within ``cluster_tol``. The first p
     limits must then be pairwise separated by more than ``cluster_tol``;
-    any inconsistency raises ToleranceAmbiguityError.
+    any inconsistency raises ToleranceAmbiguityError. The limits are
+    checked as points of ``space`` first, then compared by identity before
+    any distance, and by identity alone at ``cluster_tol`` 0.
     """
     n = len(limits)
     require_int("number of limits", n, 1)
     require_tolerance("cluster_tol", cluster_tol, zero_ok=True)
+    limits = [space.check_point(x) for x in limits]
     period = None
     for q in divisors(n):
-        if all(
-            space.distance(limits[i], limits[(i + q) % n]) <= cluster_tol
-            for i in range(n)
-        ):
+        if all(_within(space, limits[i], limits[(i + q) % n], cluster_tol) for i in range(n)):
             period = q
             break
     if period is None:
@@ -278,7 +287,7 @@ def classify_limits(
         )
     for i in range(period):
         for j in range(i + 1, period):
-            if space.distance(limits[i], limits[j]) <= cluster_tol:
+            if _within(space, limits[i], limits[j], cluster_tol):
                 raise ToleranceAmbiguityError(
                     f"limits {i} and {j} coincide within {cluster_tol} "
                     f"although the shift test chose period {period}"
@@ -326,7 +335,8 @@ def solve(
     at the default), then verified: consecutive limits must chain under T,
     the representative must return to itself after p steps, and no proper
     divisor below p may already bring it back. When every strand ended
-    constant the limits are exact, and both steps use tolerance 0.
+    constant the limits are exact, and both steps use tolerance 0: they
+    compare the limits by identity and evaluate no distance.
     """
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
@@ -342,15 +352,17 @@ def solve(
         except InvalidPointError:  # the strands settled on the space's last terms
             terms = sum(len(s.terms) for s in states)
             raise _left_space(i + 1, st.last_step, st.gamma_hat, terms) from None
-        gap = space.distance(image, limits[(i + 1) % n])
-        if gap > cluster_tol:
+        following = limits[(i + 1) % n]
+        if not _within(space, image, following, cluster_tol):
+            gap = float(space.distance(image, following))
             raise ConsistencyViolationError(
-                f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {float(gap)}; "
+                f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {gap}; "
                 "the map is not continuous at the limits or the strands have "
                 "not settled within tol"
             )
     representative = limits[0]
-    residual = space.distance(iterate(map_, representative, period), representative)
+    back = iterate(map_, representative, period)
+    residual = 0 if back == representative else space.distance(back, representative)
     if residual > cluster_tol:
         raise ConsistencyViolationError(
             f"representative fails to return after {period} steps "
@@ -359,7 +371,7 @@ def solve(
     for q in divisors(n):
         if q >= period:
             break
-        if space.distance(iterate(map_, representative, q), representative) <= cluster_tol:
+        if _within(space, iterate(map_, representative, q), representative, cluster_tol):
             raise ToleranceAmbiguityError(
                 f"representative already returns after {q} steps although "
                 f"classification chose period {period}"

@@ -85,6 +85,18 @@ class TestInstanceParsing:
         with pytest.raises(InstanceFormatError):
             instance_from_dict({"kind": "finite", "points": ["p"]})
 
+    @pytest.mark.parametrize("points", [["p", ["q"]], [1, 2]])
+    def test_point_labels_must_be_strings(self, points):
+        # a list label is unhashable, and a number can never name a map key
+        doc = {
+            "kind": "finite",
+            "points": points,
+            "distance": [[0, 1], [1, 0]],
+            "map": {"p": "q", "q": "p"},
+        }
+        with pytest.raises(InstanceFormatError, match="'points' as a list of strings"):
+            instance_from_dict(doc)
+
     def test_map_must_cover_every_point(self):
         doc = dict(FIVE_SWAP_DOC, map={"x1": "x2"})
         with pytest.raises(InstanceFormatError):

@@ -83,6 +83,8 @@ CALLS = {
     "build_case-unknown-id": lambda: build_case("example_9_9"),
     "cauchy_tail_bound-negative-step": lambda: cauchy_tail_bound(-1.0, 0.5, 2),
     "cauchy_tail_bound-k-0": lambda: cauchy_tail_bound(1.0, 0.5, 0),
+    "cauchy_tail_bound-gamma-nan": lambda: cauchy_tail_bound(1.0, math.nan, 2),
+    "cauchy_tail_bound-step-nan": lambda: cauchy_tail_bound(math.nan, 0.5, 2),
     "stopper-tol-nan": lambda: TailBoundStopper(math.nan),
     "classify_limits-empty": lambda: classify_limits(five_swap()[0], []),
     "classify_limits-cluster-tol-negative": lambda: classify_limits(

@@ -12,8 +12,12 @@ from graphcon import (
     ConsistencyViolationError,
     FiniteSpace,
     GammaOutOfRangeError,
+    GraphconError,
+    InvalidPointError,
     LimitCase,
     NotConvergedError,
+    PeriodicSolution,
+    SeqPoint,
     SequenceFamily,
     SequenceSpace,
     ShiftMap,
@@ -31,8 +35,14 @@ from graphcon import (
     random_instance,
     solve,
 )
-from graphcon.solver import DEFAULT_MAX_OUTER, DEFAULT_TOL, TailBoundStopper
+from graphcon.solver import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_MAX_OUTER,
+    DEFAULT_TOL,
+    TailBoundStopper,
+)
 
+import builders
 from builders import unit_space
 
 
@@ -56,6 +66,8 @@ class TestCauchyTailBound:
             cauchy_tail_bound(1.0, 1.0, 2)
         with pytest.raises(GammaOutOfRangeError):
             cauchy_tail_bound(1.0, -0.2, 2)
+        with pytest.raises(GammaOutOfRangeError):
+            cauchy_tail_bound(1.0, float("nan"), 2)
 
     def test_preconditions(self):
         with pytest.raises(BadParamsError):
@@ -315,6 +327,20 @@ class TestClassifyLimits:
         space = unit_space(4)
         with pytest.raises(ToleranceAmbiguityError):
             classify_limits(space, [0, 1, 2, 0])
+
+    @pytest.mark.parametrize("limits", [["bogus", "bogus"], [1.0, 1.0], [True, True]])
+    @pytest.mark.parametrize("cluster_tol", [0, DEFAULT_CLUSTER_TOL])
+    def test_equal_invalid_finite_limits_refused(self, limits, cluster_tol):
+        # equal limits are compared without a distance, which would have
+        # checked them; 1.0 and True even compare equal to the index 1
+        with pytest.raises(InvalidPointError):
+            classify_limits(unit_space(3), limits, cluster_tol)
+
+    @pytest.mark.parametrize("cluster_tol", [0, DEFAULT_CLUSTER_TOL])
+    def test_equal_invalid_sequence_limits_refused(self, cluster_tol):
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=30)
+        with pytest.raises(InvalidPointError):
+            classify_limits(space, [SeqPoint("x", 31)] * 2, cluster_tol)
 
 
 class TestSolve:
@@ -587,6 +613,142 @@ class TestSolve:
         )
         with pytest.raises(ConsistencyViolationError, match="misses limit 1"):
             solve(space, jumping, 2, space.x(1))
+
+
+def reference_classify(space, limits, cluster_tol):
+    """Limit classification with one distance per compared pair."""
+    n = len(limits)
+    period = None
+    for q in divisors(n):
+        if all(space.distance(limits[i], limits[(i + q) % n]) <= cluster_tol for i in range(n)):
+            period = q
+            break
+    if period is None:
+        raise ToleranceAmbiguityError(
+            f"no divisor of {n} shifts the limits onto themselves within {cluster_tol}"
+        )
+    for i in range(period):
+        for j in range(i + 1, period):
+            if space.distance(limits[i], limits[j]) <= cluster_tol:
+                raise ToleranceAmbiguityError(
+                    f"limits {i} and {j} coincide within {cluster_tol} "
+                    f"although the shift test chose period {period}"
+                )
+    if period == 1:
+        return LimitCase.B_ALL_EQUAL, period
+    return (LimitCase.A_ALL_DISTINCT if period == n else LimitCase.D_PERIODIC_PATTERN), period
+
+
+def reference_solve(space, map_, n, start, tol=DEFAULT_TOL):
+    """``solve`` with a distance for every comparison of classification and
+    verification. An orbit that leaves the space is not handled: no case
+    compared against it reaches the end of its space."""
+    states = advance_subsequences(space, map_, n, start, tol=tol)
+    limits = [st_.limit for st_ in states]
+    if all(st_.last_step == 0 for st_ in states):
+        cluster_tol = 0
+    else:
+        cluster_tol = DEFAULT_CLUSTER_TOL * (min(tol, 1e308) / DEFAULT_TOL)
+    case, period = reference_classify(space, limits, cluster_tol)
+    for i in range(n):
+        gap = space.distance(map_.apply(limits[i]), limits[(i + 1) % n])
+        if gap > cluster_tol:
+            raise ConsistencyViolationError(
+                f"T(limit {i + 1}) misses limit {(i + 1) % n + 1} by {float(gap)}; "
+                "the map is not continuous at the limits or the strands have "
+                "not settled within tol"
+            )
+    representative = limits[0]
+    residual = space.distance(iterate(map_, representative, period), representative)
+    if residual > cluster_tol:
+        raise ConsistencyViolationError(
+            f"representative fails to return after {period} steps "
+            f"(residual {float(residual)})"
+        )
+    for q in divisors(n):
+        if q >= period:
+            break
+        if space.distance(iterate(map_, representative, q), representative) <= cluster_tol:
+            raise ToleranceAmbiguityError(
+                f"representative already returns after {q} steps although "
+                f"classification chose period {period}"
+            )
+    return PeriodicSolution(
+        order=n,
+        limits=tuple(limits),
+        case=case,
+        period=period,
+        representative=representative,
+        residual=float(residual),
+        cycle=tuple(limits[:period]),
+        iterations_used=max(sum(len(st_.terms) for st_ in states) - 1, 0),
+    )
+
+
+def _solution_or_error(solver, *args):
+    try:
+        return solver(*args)
+    except GraphconError as exc:
+        return type(exc), str(exc)
+
+
+class TestIdentityComparisonMatchesReference:
+    def test_random_finite_instances(self):
+        kinds = set()
+        for seed in range(200):
+            space, map_ = random_instance(seed, 7)
+            for n in range(1, 7):
+                for start in space.points():
+                    got = _solution_or_error(solve, space, map_, n, start)
+                    assert got == _solution_or_error(reference_solve, space, map_, n, start)
+                    kinds.add(got[0].__name__ if isinstance(got, tuple) else "solved")
+        assert kinds == {"solved", "NotConvergedError"}
+
+    @pytest.mark.parametrize("family, orders", [
+        (builders.two_phase, (2, 4, 6)), (builders.four_phase, (4, 8, 12)),
+    ])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.5, 3.25)])
+    def test_sequence_families(self, family, orders, a, b):
+        space, shift = family(a, b)
+        starts = ["a", "b"] + [f"x{k}" for k in range(1, 11)]
+        for n in orders:
+            for start in map(space.point_named, starts):
+                got = _solution_or_error(solve, space, shift, n, start)
+                assert got == _solution_or_error(reference_solve, space, shift, n, start)
+                assert isinstance(got, PeriodicSolution), (n, start)
+
+    def test_wrap_around_gap_message(self, two_phase):
+        space, shift = two_phase
+        last = solve(space, shift, 2, space.x(1)).limits[-1]
+        jumping = SimpleNamespace(
+            apply=lambda p: space.b_point if p == last else shift.apply(p), rho=shift.rho
+        )
+        got = _solution_or_error(solve, space, jumping, 2, space.x(1))
+        assert got == _solution_or_error(reference_solve, space, jumping, 2, space.x(1))
+        assert got[0] is ConsistencyViolationError
+
+
+class TestExactSolveTakesNoDistance:
+    def test_limits_read_off_cycles(self, monkeypatch, four_phase):
+        # every strand is read off a cycle, so classification and
+        # verification run at tolerance 0 and compare by identity alone
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(args[1:])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(FiniteSpace, "distance", counted(FiniteSpace.distance))
+        monkeypatch.setattr(SequenceSpace, "distance", counted(SequenceSpace.distance))
+        space, map_ = random_instance(5, 8)
+        for start in space.points():
+            assert solve(space, map_, 12, start).residual == 0
+        seq_space, shift = four_phase
+        for start in (seq_space.a_point, seq_space.b_point):
+            assert solve(seq_space, shift, 4, start).period == 2
+        assert calls == []
 
 
 class TestDivisors:
