@@ -334,9 +334,14 @@ def solve(
     The limits are clustered within ``1000 * tol`` (``DEFAULT_CLUSTER_TOL``
     at the default), then verified: consecutive limits must chain under T,
     the representative must return to itself after p steps, and no proper
-    divisor below p may already bring it back. When every strand ended
-    constant the limits are exact, and both steps use tolerance 0: they
-    compare the limits by identity and evaluate no distance.
+    divisor below p may already bring it back. An image under T is checked
+    as a point of ``space`` before it is compared, so that ``True``, equal
+    to 1, is not taken for a point; in the chain only an image whose type
+    differs from its limit's needs the check, as one of the same type
+    equals a checked point or is compared by a distance, which checks it.
+    When every strand ended constant the limits are exact, and both steps
+    use tolerance 0: they compare the limits by identity and evaluate no
+    distance.
     """
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
@@ -353,6 +358,8 @@ def solve(
             terms = sum(len(s.terms) for s in states)
             raise _left_space(i + 1, st.last_step, st.gamma_hat, terms) from None
         following = limits[(i + 1) % n]
+        if type(image) is not type(following):  # True == 1 but is no point
+            space.check_point(image)
         if not _within(space, image, following, cluster_tol):
             gap = float(space.distance(image, following))
             raise ConsistencyViolationError(
@@ -361,7 +368,7 @@ def solve(
                 "not settled within tol"
             )
     representative = limits[0]
-    back = iterate(map_, representative, period)
+    back = space.check_point(iterate(map_, representative, period))
     residual = 0 if back == representative else space.distance(back, representative)
     if residual > cluster_tol:
         raise ConsistencyViolationError(
@@ -371,7 +378,8 @@ def solve(
     for q in divisors(n):
         if q >= period:
             break
-        if _within(space, iterate(map_, representative, q), representative, cluster_tol):
+        again = space.check_point(iterate(map_, representative, q))
+        if _within(space, again, representative, cluster_tol):
             raise ToleranceAmbiguityError(
                 f"representative already returns after {q} steps although "
                 f"classification chose period {period}"

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 DEFAULT_INDEX_CAP = 10**6
+# Widest field, in bits, for which validate_finite checks the triangle
+# inequality on packed rows; a field holds the widest entry plus 2 bits.
+# Past it the packed sums cost more than the row scan they replace.
+PACK_WIDTH_LIMIT = 128
 
 
 def as_fraction(value) -> Fraction:
@@ -116,11 +120,15 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     Every stage after finiteness compares those integers a row at a time
     at C level (``min(row)``, ``row.count(0)``, a row against its column);
     only a row that fails is scanned again in Python for its first witness.
-    Messages print the entries as given. For the triangle inequality each
-    row ``i`` is compared against ``d(i,k) + row k`` for every ``k``, on the
-    columns ``j > i`` only (the matrix is symmetric by then), and a failing
-    row is rescanned over ``(j, k)`` in order, so the witness is still the
-    lexicographically first ``(i, j, k)``.
+    Messages print the entries as given. The matrix is symmetric by the
+    triangle stage, so it compares the pairs ``j > i`` only. While every
+    field of ``PACK_WIDTH_LIMIT`` bits holds the widest entry plus 2 bits,
+    each row is packed once into one integer, a field per column, and one
+    integer expression per pair compares ``d(i,j)`` with ``d(i,k) + d(k,j)``
+    for every ``k`` at once (SIMD within a register); a wider matrix
+    compares row ``i`` with ``d(i,k) + row k`` at C level instead. Either
+    way a failing row is rescanned over ``(j, k)`` in order, so the witness
+    is still the lexicographically first ``(i, j, k)``.
     """
     n = len(dist)
     for i, row in enumerate(dist):
@@ -165,12 +173,33 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     # The matrix is symmetric now, so a violation (i, j, k) with j < i has
     # its mirror (j, i, k) in an earlier row: each row i is compared on
     # j > i only, and the first row that fails is still the first witness's.
-    for i, row_i in enumerate(scaled):
-        right = i + 1
-        tail = row_i[right:]
-        for d_ik, row_k in zip(row_i, scaled):
-            if any(map(gt, tail, map(add, repeat(d_ik), row_k[right:]))):
-                _raise_first_triangle_violation(scaled, den, i)
+    # a field holds d(i,k) + d(k,j) below its guard bit
+    width = max(map(max, scaled), default=0).bit_length() + 2
+    if width <= PACK_WIDTH_LIMIT:
+        # Packed row i holds d(i,k) in field k; by symmetry packed rows i
+        # plus j hold d(i,k) + d(k,j). With every guard bit set first,
+        # subtracting d(i,j) from each field borrows across none, and a
+        # guard comes out clear exactly where d(i,j) > d(i,k) + d(k,j).
+        packed = []
+        for row in scaled:
+            p = 0
+            for v in reversed(row):
+                p = p << width | v
+            packed.append(p)
+        ones = sum(1 << width * k for k in range(n))
+        guards = ones << width - 1
+        for i, (row_i, p_i) in enumerate(zip(scaled, packed)):
+            lifted = p_i | guards
+            for d_ij, p_j in zip(row_i[i + 1:], packed[i + 1:]):
+                if lifted + p_j - d_ij * ones & guards != guards:
+                    _raise_first_triangle_violation(scaled, den, i)
+    else:
+        for i, row_i in enumerate(scaled):
+            right = i + 1
+            tail = row_i[right:]
+            for d_ik, row_k in zip(row_i, scaled):
+                if any(map(gt, tail, map(add, repeat(d_ik), row_k[right:]))):
+                    _raise_first_triangle_violation(scaled, den, i)
     return den, tuple(scaled)
 
 

@@ -603,6 +603,23 @@ class TestSolve:
         sol = solve(space, shift, 2, space.x(1), tol=1e-13)
         assert (sol.period, sol.case) == (2, LimitCase.A_ALL_DISTINCT)
 
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("step", ["apply", "power"])
+    def test_image_that_is_no_point_refused(self, step, start):
+        # point 1 comes back as True, which equals 1 but is no point index:
+        # from `apply` in the chain check; from `power` in the proper-divisor
+        # check (start 0) or the representative's return (start 1)
+        space = unit_space(3)
+        swap = TableMap(space, (1, 0, 2))
+
+        def odd(*args):
+            image = getattr(swap, step)(*args)
+            return True if image == 1 else image
+
+        steps = {"apply": swap.apply, "power": swap.power, step: odd}
+        with pytest.raises(InvalidPointError, match="True is not a point index"):
+            solve(space, SimpleNamespace(rho=swap.rho, **steps), 2, start)
+
     def test_wrap_around_gap_detected(self, two_phase):
         # T jumps away from the last term walked, a step the stopping rule
         # never sees; the wrap-around consistency check does

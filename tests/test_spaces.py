@@ -25,6 +25,7 @@ from graphcon import (
     as_fraction,
     validate_finite,
 )
+from graphcon.spaces import PACK_WIDTH_LIMIT
 
 from builders import four_phase, two_phase, unit_space
 
@@ -101,7 +102,9 @@ def axiom_outcome(check, dist):
 def planted_matrices(draw):
     """A shortest-path metric on 3..7 points with positive rational edge
     weights, then up to three entry pairs each raised above the detour
-    through a third point. Whole entries are stored as ints."""
+    through a third point. Every entry is then multiplied by a power of two,
+    so that the scaled matrix lands below or past ``PACK_WIDTH_LIMIT``.
+    Whole entries are stored as ints."""
     n = draw(st.integers(min_value=3, max_value=7))
     weight = st.builds(
         Fraction,
@@ -119,6 +122,8 @@ def planted_matrices(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         i, j, k = draw(st.permutations(range(n)))[:3]
         d[i][j] = d[j][i] = d[i][k] + d[k][j] + draw(weight)
+    scale = 2 ** draw(st.sampled_from((0, 58, 118, 200)))
+    d = [[v * scale for v in row] for row in d]
     return [[int(v) if v.denominator == 1 else v for v in row] for row in d]
 
 
@@ -186,6 +191,33 @@ class TestValidateFinite:
     def test_triangle_witness_matches_reference_scan(self, dist):
         expected = axiom_outcome(reference_triangle_scan, dist)
         assert axiom_outcome(validate_finite, dist) == expected
+
+    @pytest.mark.parametrize(
+        "bits", [PACK_WIDTH_LIMIT - 2, PACK_WIDTH_LIMIT - 1], ids=["packed", "row-scan"]
+    )
+    def test_triangle_check_on_both_sides_of_the_width_gate(self, bits):
+        # the widest entry has `bits` bits and a field needs 2 more, so the
+        # first case just fits PACK_WIDTH_LIMIT and the second just does not
+        top, half, quarter = 2**bits - 1, 2 ** (bits - 1), 2 ** (bits - 2)
+        valid = [[0 if i == j else top - i - j for j in range(4)] for i in range(4)]
+        assert validate_finite(valid) == (1, tuple(map(tuple, valid)))
+        assert axiom_outcome(reference_triangle_scan, valid) is None
+        # d(0,1) misses the detour through 3 by 1; the detour through 2
+        # sums to 2 * top, the most a field ever holds
+        bad = [
+            [0, half + 1, top, quarter],
+            [half + 1, 0, top, quarter],
+            [top, top, 0, top],
+            [quarter, quarter, top, 0],
+        ]
+        assert max(map(max, bad)).bit_length() == bits
+        got = axiom_outcome(validate_finite, bad)
+        assert got == axiom_outcome(reference_triangle_scan, bad)
+        assert got == (
+            TriangleViolationError,
+            (0, 1, 3),
+            f"d(0,1) = {half + 1} exceeds d(0,3) + d(3,1) = {half}",
+        )
 
     def test_mixed_int_and_fraction_entries(self):
         half, three_halves = Fraction(1, 2), Fraction(3, 2)
