@@ -96,7 +96,7 @@ def load_instance(path) -> Tuple[SpaceModel, MapModel]:
             doc = json.load(fh)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")

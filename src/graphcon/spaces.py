@@ -83,21 +83,30 @@ def as_fraction(value) -> Fraction:
 def _pair(value) -> tuple:
     """One matrix entry as an integer pair ``(p, q)`` with value ``p / q``.
 
-    An ``int``, a ``Fraction`` and an ASCII ``"digits/digits"`` string with a
-    non-zero denominator are read directly; every other entry goes through
-    ``as_fraction``, so it keeps that function's value or error.
+    An ``int`` and a ``Fraction`` are read directly; every other entry goes
+    through ``as_fraction``, so it keeps that function's value or error.
     """
     kind = type(value)
     if kind is int:
         return value, 1
     if kind is Fraction:
         return value.numerator, value.denominator
-    if kind is str and value.isascii():
-        p, _, q = value.partition("/")
-        if p.isdigit() and q.isdigit() and q.strip("0"):
-            return int(p), int(q)
     exact = as_fraction(value)
     return exact.numerator, exact.denominator
+
+
+def _ratio_fields(entries: list):
+    """``[p, q, p, q, ...]`` read in one pass from entries that are all ASCII
+    ``"p/q"`` strings with ``q > 0``, or ``None`` for any other entries."""
+    try:
+        text = ",".join(entries)
+        skeleton = text.encode("ascii").translate(None, b"0123456789")
+        if skeleton != b"/," * (len(entries) - 1) + b"/":  # each entry leaves "/"
+            return None
+        fields = list(map(int, text.replace("/", ",").split(",")))
+    except (TypeError, ValueError):  # no str, not ASCII, or a field int() refuses
+        return None
+    return None if 0 in fields[1::2] else fields
 
 
 def validate_finite(dist: Sequence[Sequence]) -> tuple:
@@ -115,8 +124,9 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     refuses raises its error; the first bad entry in row order decides.
 
     The matrix is read once into integers over one common denominator, with
-    no ``Fraction`` per entry: an ``int``, a ``Fraction`` or a ``"p/q"``
-    string of ASCII digits directly, anything else through ``as_fraction``.
+    no ``Fraction`` per entry. A matrix of ASCII ``"p/q"`` strings is read in
+    one pass (``_ratio_fields``); any other entry by entry, an ``int`` or a
+    ``Fraction`` directly and anything else through ``as_fraction``.
     Every stage after finiteness compares those integers a row at a time
     at C level (``min(row)``, ``row.count(0)``, a row against its column);
     only a row that fails is scanned again in Python for its first witness.
@@ -136,22 +146,27 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
             raise NonSquareError(
                 f"row {i} has {len(row)} entries, expected {n}", (i,)
             )
-    try:
-        pairs = [tuple(zip(*map(_pair, row))) for row in dist]  # (nums, dens)
-    except (TypeError, ValueError, ZeroDivisionError):
-        for i, j in product(range(n), repeat=2):  # find the first bad entry
-            v = dist[i][j]
-            if isinstance(v, float) and not math.isfinite(v):
-                msg = f"d({i},{j}) = {v} is not a finite number"
-                raise NonFiniteEntryError(msg, (i, j)) from None
-            as_fraction(v)
-    den = math.lcm(*chain.from_iterable(dens for _, dens in pairs))
-    scaled = [tuple(map(mul, nums, map(floordiv, repeat(den), dens))) for nums, dens in pairs]
+    entries = list(chain.from_iterable(dist))
+    fields = _ratio_fields(entries)
+    if fields is None:
+        try:
+            fields = list(chain.from_iterable(map(_pair, entries)))
+        except (TypeError, ValueError, ZeroDivisionError):
+            for i, j in product(range(n), repeat=2):  # find the first bad entry
+                v = dist[i][j]
+                if isinstance(v, float) and not math.isfinite(v):
+                    msg = f"d({i},{j}) = {v} is not a finite number"
+                    raise NonFiniteEntryError(msg, (i, j)) from None
+                as_fraction(v)
+    nums, dens = fields[::2], fields[1::2]
+    den = math.lcm(*set(dens))
+    flat = list(map(mul, nums, map(floordiv, repeat(den), dens)))
     # an unreduced "p/q" may leave a common factor; the least den is canonical
-    common = math.gcd(den, *chain.from_iterable(scaled))
+    common = math.gcd(den, *flat)
     if common > 1:
         den //= common
-        scaled = [tuple(m // common for m in row) for row in scaled]
+        flat = [m // common for m in flat]
+    scaled = [tuple(flat[i : i + n]) for i in range(0, n * n, n)]
     for i, row in enumerate(scaled):
         if min(row) < 0:
             j = next(j for j, v in enumerate(row) if v < 0)
@@ -229,14 +244,15 @@ class FiniteSpace:
     The metric is stored as one integer matrix over one denominator:
     ``d(i, j) = scaled[i][j] / den``, with ``den`` the least such. Ratios of
     distances do not depend on ``den``, so the finite-only engines compare
-    these integers. ``dist``, the exact view as a tuple of ``Fraction``
-    rows, is built a row at a time on first use; ``distance`` reads it.
+    these integers. ``distance`` builds only the ``Fraction`` it is asked for
+    and keeps it, keyed by ``x * size + y``; ``dist``, the exact view as a
+    tuple of ``Fraction`` rows, is built on each call.
     """
 
     labels: tuple
     scaled: tuple
     den: int
-    _rows: list = field(init=False, repr=False, compare=False)  # Fraction rows or None
+    _memo: dict = field(init=False, repr=False, compare=False)  # x * size + y -> Fraction
 
     def __init__(self, labels: tuple, dist: tuple):
         if len(labels) != len(dist):
@@ -249,21 +265,17 @@ class FiniteSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_rows", [None] * len(scaled))
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: Iterable[Iterable]) -> "FiniteSpace":
         """Build a space from any nested iterable of rational-like entries."""
         return cls(tuple(labels), tuple(map(tuple, rows)))
 
-    def _exact_row(self, x: int) -> tuple:
-        row = self._rows[x] = tuple(Fraction(m, self.den) for m in self.scaled[x])
-        return row
-
     @property
     def dist(self) -> tuple:
-        """The exact matrix, as a tuple of ``Fraction`` rows."""
-        return tuple(self._rows[x] or self._exact_row(x) for x in self.points())
+        """The exact matrix, as a tuple of ``Fraction`` rows, built on each call."""
+        return tuple(tuple(Fraction(m, self.den) for m in row) for row in self.scaled)
 
     @property
     def size(self) -> int:
@@ -284,8 +296,11 @@ class FiniteSpace:
         return x
 
     def distance(self, x, y) -> Fraction:
-        row = self._rows[self.check_point(x)] or self._exact_row(x)
-        return row[self.check_point(y)]
+        key = self.check_point(x) * len(self.labels) + self.check_point(y)
+        exact = self._memo.get(key)
+        if exact is None:
+            exact = self._memo[key] = Fraction(self.scaled[x][y], self.den)
+        return exact
 
 
 class SequenceFamily(str, Enum):

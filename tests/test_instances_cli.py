@@ -408,6 +408,15 @@ class TestCliBadInput:
         assert code == 1
         assert doc["error"]["type"] == "InstanceFormatError"
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        # json's decoder recurses once per level and gives up with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, doc, _ = run_cli(capsys, ["analyze", "--input", str(path), "--order", "2"])
+        assert code == 1
+        assert doc["error"]["type"] == "InstanceFormatError"
+        assert "is not valid JSON" in doc["error"]["message"]
+
     def test_huge_decimal_exponent(self, tmp_path, capsys):
         # Fraction would build a 415 MB integer for this entry
         doc = {

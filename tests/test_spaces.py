@@ -3,6 +3,7 @@
 import math
 from enum import IntEnum
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -23,8 +24,10 @@ from graphcon import (
     SymmetryViolationError,
     TriangleViolationError,
     as_fraction,
+    random_instance,
     validate_finite,
 )
+from graphcon import spaces
 from graphcon.spaces import PACK_WIDTH_LIMIT
 
 from builders import four_phase, two_phase, unit_space
@@ -127,7 +130,95 @@ def planted_matrices(draw):
     return [[int(v) if v.denominator == 1 else v for v in row] for row in d]
 
 
+def reference_read(dist):
+    """``validate_finite`` entry by entry: each entry read by ``as_fraction``,
+    then each axiom scanned over the entries in row order."""
+    n = len(dist)
+    try:
+        exact = [[as_fraction(v) for v in row] for row in dist]
+    except (TypeError, ValueError, ZeroDivisionError):
+        for i, j in product(range(n), repeat=2):
+            v = dist[i][j]
+            if isinstance(v, float) and not math.isfinite(v):
+                msg = f"d({i},{j}) = {v} is not a finite number"
+                raise NonFiniteEntryError(msg, (i, j)) from None
+            as_fraction(v)
+    for i, j in product(range(n), repeat=2):
+        if exact[i][j] < 0:
+            raise NegativeEntryError(f"d({i},{j}) = {dist[i][j]} is negative", (i, j))
+    for i, row in enumerate(exact):
+        if row[i] != 0:
+            msg = f"d({i},{i}) = {dist[i][i]}, diagonal must be zero"
+            raise IdentityViolationError(msg, (i, i))
+        for j in range(n):
+            if row[j] == 0 and j != i:
+                raise IdentityViolationError(f"d({i},{j}) = 0 for distinct points", (i, j))
+    for i, j in product(range(n), repeat=2):
+        if exact[i][j] != exact[j][i]:
+            msg = f"d({i},{j}) = {dist[i][j]} but d({j},{i}) = {dist[j][i]}"
+            raise SymmetryViolationError(msg, (i, j))
+    reference_triangle_scan(exact)
+    den = math.lcm(*(v.denominator for row in exact for v in row))
+    return den, tuple(tuple(int(v * den) for v in row) for row in exact)
+
+
+def read_outcome(read, dist):
+    """``read(dist)``, or the (type, indices, message) of the error it raises."""
+    try:
+        return read(dist)
+    except (MetricAxiomError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), getattr(exc, "indices", None), str(exc)
+
+
+AWKWARD_ENTRIES = [
+    "1/0", "/2", "1/", "1//2", "1/2/3", "1,2/3", " 1/2", "\u0661/2", "\u00b2/3",
+    "-1/2", "+1/2", "1_0/2", "007/010", "2/4", "1" * 4400 + "/3",
+    0.25, Fraction(1, 3), True, math.nan,
+]
+
+
+@st.composite
+def ratio_matrices(draw):
+    """A ``planted_matrices`` matrix written as ``"p/q"`` strings, each entry
+    unreduced by a factor 1..3, with up to two entries (and at times their
+    mirrors) replaced by an awkward entry."""
+    dist = draw(planted_matrices())
+    n = len(dist)
+    factors = iter(draw(st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n)))
+    rows = [[f"{k * Fraction(v).numerator}/{k * Fraction(v).denominator}"
+             for v, k in zip(row, factors)] for row in dist]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from(AWKWARD_ENTRIES))
+        if draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+    return rows
+
+
 class TestValidateFinite:
+
+    @given(ratio_matrices())
+    @example([["0/1", "1/2"], ["2/4", "0/3"]])
+    @example([["0/1", "1/2"], ["1/2", "0/0"]])
+    # split at every "/" and ",", either entry gives the fields of a valid
+    # matrix plus one more; only the check on the skeleton refuses them
+    @example([["0/1", "1/2"], ["1/2", "0/1/2"]])
+    @example([["0/1", "1/2"], ["1/2", "0/1,2"]])
+    def test_ratio_strings_read_as_as_fraction_reads_them(self, dist):
+        # the one-pass read and the per-entry read agree with a reader that
+        # calls as_fraction on every entry, on the value or on the error
+        assert read_outcome(validate_finite, dist) == read_outcome(reference_read, dist)
+
+    def test_ratio_string_matrix_read_in_one_pass(self, monkeypatch):
+        read = []
+        pair = spaces._pair
+        monkeypatch.setattr(spaces, "_pair", lambda v: read.append(v) or pair(v))
+        assert validate_finite([["0/1", "1/2"], ["2/4", "00/7"]]) == (2, ((0, 1), (1, 0)))
+        assert read == []
+        # any other entry sends the whole matrix through the per-entry read
+        assert validate_finite([["0/1", "1/2"], ["2/4", 0]]) == (2, ((0, 1), (1, 0)))
+        assert read == ["0/1", "1/2", "2/4", 0]
+
     def test_all_ones_5x5_ok(self):
         m = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
         validate_finite(m)  # must not raise
@@ -403,6 +494,21 @@ class TestFiniteSpace:
         for x in (True, 1.0, -1, IntEnum("Corner", ["FAR"]).FAR):
             with pytest.raises(InvalidPointError):
                 space.check_point(x)
+
+    def test_distance_builds_each_entry_exactly_and_checks_points(self):
+        for seed in range(30):
+            space, _ = random_instance(seed, 12)
+            dist, size = space.dist, space.size
+            for x, y in product(range(size), repeat=2):
+                got = space.distance(x, y)
+                assert type(got) is Fraction
+                assert got == dist[x][y] == Fraction(space.scaled[x][y], space.den)
+                # the pair is kept now; a non-point must still be refused
+                for bad in (True, 1.0, -1, size):
+                    with pytest.raises(InvalidPointError):
+                        space.distance(bad, y)
+                    with pytest.raises(InvalidPointError):
+                        space.distance(x, bad)
 
     def test_invalid_matrix_never_builds(self):
         with pytest.raises(TriangleViolationError):
