@@ -38,13 +38,14 @@ def _finite_from_dict(doc: dict) -> Tuple[FiniteSpace, TableMap]:
         mapping = doc["map"]
     except KeyError as missing:
         raise InstanceFormatError(f"finite instance lacks field {missing}") from None
-    # labels name the map's keys, and JSON object keys are always strings
-    if not isinstance(labels, list) or not isinstance(mapping, dict) or not all(
-        isinstance(p, str) for p in labels
-    ):
+    # labels name the map's keys, which JSON makes strings; a row or matrix
+    # that is no list would be read by its characters or keys
+    if not (isinstance(labels, list) and all(isinstance(p, str) for p in labels)
+            and isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and isinstance(mapping, dict)):
         raise InstanceFormatError(
-            "finite instance needs 'points' as a list of strings and 'map' as "
-            "an object from label to image"
+            "finite instance needs 'points' as a list of strings, 'distance' as a "
+            "list of lists and 'map' as an object from label to image"
         )
     try:
         space = FiniteSpace.from_rows(labels, rows)
@@ -70,12 +71,13 @@ def _gallery_from_dict(doc: dict) -> Tuple[SequenceSpace, ShiftMap]:
         ) from None
     params = doc.get("params", {})
     try:
-        a = float(params["a"])
-        b = float(params["b"])
+        a, b = params["a"], params["b"]
+        numeric = type(a) is not bool and type(b) is not bool  # float(True) is 1.0
+        a, b = float(a), float(b)
     except (KeyError, TypeError, ValueError, OverflowError):
-        raise InstanceFormatError(
-            "gallery instance needs numeric params a and b"
-        ) from None
+        numeric = False
+    if not numeric:
+        raise InstanceFormatError("gallery instance needs numeric params a and b")
     space = SequenceSpace(family, a, b)
     return space, ShiftMap(space)
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 from .analysis import Verdict, alpha_exact
 from .errors import require_int, require_kind
 from .maps import MapModel, TableMap
-from .solver import PeriodicSolution, divisors
+from .solver import PeriodicSolution
 from .spaces import FiniteSpace
 
 __all__ = [
@@ -48,12 +48,12 @@ def enumerate_periodic(
 
     Default mode tests only divisors of n (the periods the theory allows
     on a contraction of order n); the minimal matching divisor is then the
-    prime period. ``full_scan`` scans every period up to |X| instead,
-    which can exhibit periods that do not divide n on non-contractions.
+    prime period. ``full_scan`` scans every period instead, which can show
+    periods that do not divide n on non-contractions. Neither looks past |X|.
     """
     require_kind("enumerate_periodic", space, FiniteSpace)
     require_int("order", n, 1)
-    candidates = set(range(1, space.size + 1)) if full_scan else set(divisors(n))
+    candidates = {p for p in range(1, space.size + 1) if full_scan or n % p == 0}
     horizon = max(candidates)
     # the map, read once; an image outside the space is refused here
     image = [space.check_point(map_.apply(x)) for x in space.points()]

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import add, floordiv, gt, mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -80,21 +80,6 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational distance")
 
 
-def _pair(value) -> tuple:
-    """One matrix entry as an integer pair ``(p, q)`` with value ``p / q``.
-
-    An ``int`` and a ``Fraction`` are read directly; every other entry goes
-    through ``as_fraction``, so it keeps that function's value or error.
-    """
-    kind = type(value)
-    if kind is int:
-        return value, 1
-    if kind is Fraction:
-        return value.numerator, value.denominator
-    exact = as_fraction(value)
-    return exact.numerator, exact.denominator
-
-
 def _ratio_fields(entries: list):
     """``[p, q, p, q, ...]`` read in one pass from entries that are all ASCII
     ``"p/q"`` strings with ``q > 0``, or ``None`` for any other entries."""
@@ -123,10 +108,10 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     mean ``d(i,j) > d(i,k) + d(k,j)``. Any other entry ``as_fraction``
     refuses raises its error; the first bad entry in row order decides.
 
-    The matrix is read once into integers over one common denominator, with
-    no ``Fraction`` per entry. A matrix of ASCII ``"p/q"`` strings is read in
-    one pass (``_ratio_fields``); any other entry by entry, an ``int`` or a
-    ``Fraction`` directly and anything else through ``as_fraction``.
+    The matrix is read once into integers over one common denominator: a
+    matrix of ASCII ``"p/q"`` strings in one pass (``_ratio_fields``), any
+    other entry by entry in row order, an ``int`` as it is, an infinite or
+    NaN float refused where it is met and the rest through ``as_fraction``.
     Every stage after finiteness compares those integers a row at a time
     at C level (``min(row)``, ``row.count(0)``, a row against its column);
     only a row that fails is scanned again in Python for its first witness.
@@ -143,21 +128,19 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     n = len(dist)
     for i, row in enumerate(dist):
         if len(row) != n:
-            raise NonSquareError(
-                f"row {i} has {len(row)} entries, expected {n}", (i,)
-            )
+            raise NonSquareError(f"row {i} has {len(row)} entries, expected {n}", (i,))
     entries = list(chain.from_iterable(dist))
     fields = _ratio_fields(entries)
     if fields is None:
-        try:
-            fields = list(chain.from_iterable(map(_pair, entries)))
-        except (TypeError, ValueError, ZeroDivisionError):
-            for i, j in product(range(n), repeat=2):  # find the first bad entry
-                v = dist[i][j]
+        fields = []
+        for index, v in enumerate(entries):
+            if type(v) is not int:  # an int has numerator and denominator already
                 if isinstance(v, float) and not math.isfinite(v):
+                    i, j = divmod(index, n)
                     msg = f"d({i},{j}) = {v} is not a finite number"
-                    raise NonFiniteEntryError(msg, (i, j)) from None
-                as_fraction(v)
+                    raise NonFiniteEntryError(msg, (i, j))
+                v = as_fraction(v)
+            fields += v.numerator, v.denominator
     nums, dens = fields[::2], fields[1::2]
     den = math.lcm(*set(dens))
     flat = list(map(mul, nums, map(floordiv, repeat(den), dens)))
@@ -397,25 +380,25 @@ class SequenceSpace:
     # -- membership and distance --------------------------------------------
 
     def check_point(self, p) -> SeqPoint:
-        if type(p) is not SeqPoint:
-            raise InvalidPointError(f"{p!r} is not a point of a sequence space")
-        if p.role == "x":
-            low, high = 1, self.max_index
-        elif p.role == "a" or p.role == "b":
-            low = high = 0
-        else:
-            raise InvalidPointError(f"unknown point role {p.role!r}")
-        if type(p.n) is not int or not low <= p.n <= high:
-            raise InvalidPointError(f"{p!r} has index {p.n!r}, outside {low}..{high}")
+        """``p`` itself if it is a point of this space (see ``_place``)."""
+        self._place(p)
         return p
 
-    def _place(self, p: SeqPoint) -> tuple:
+    def _place(self, p) -> tuple:
         """Locate p as (below_a, base, k): p = a - base^-k if below_a, else
-        b + base^-k. An anchor is (below_a, 0, 0): it has no offset."""
-        n = p.n
-        if p.role != "x":
-            return p.role == "a", 0, 0
-        if self.family is SequenceFamily.TWO_PHASE:
+        b + base^-k; an anchor is (below_a, 0, 0), with no offset. Anything
+        that is not a point of this space raises ``InvalidPointError``."""
+        if type(p) is not SeqPoint:
+            raise InvalidPointError(f"{p!r} is not a point of a sequence space")
+        role, n = p.role, p.n
+        if role not in ("x", "a", "b"):
+            raise InvalidPointError(f"unknown point role {role!r}")
+        low, high = (1, self.max_index) if role == "x" else (0, 0)
+        if type(n) is not int or not low <= n <= high:
+            raise InvalidPointError(f"{p!r} has index {n!r}, outside {low}..{high}")
+        if not n:
+            return role == "a", 0, 0
+        if self.family == "example_2_3":  # by id: a member looked up on the class is slow
             return n % 2 == 1, 2, n
         return n % 2 == 1, 2 if n % 4 in (1, 2) else 3, (n + 3) // 4
 
@@ -429,8 +412,8 @@ class SequenceSpace:
         of bases 2 and 3 are left to ``Fraction``'s own sum or difference:
         one fraction over 2^i 3^j would pay a full big-integer gcd.
         """
-        below_x, base_x, i = self._place(self.check_point(x))
-        below_y, base_y, j = self._place(self.check_point(y))
+        below_x, base_x, i = self._place(x)
+        below_y, base_y, j = self._place(y)
         apart = below_x != below_y
         if i and j:
             if base_x == base_y:
@@ -447,7 +430,7 @@ class SequenceSpace:
 
     def coord(self, p) -> float:
         """The point's coordinate, rounded once to the nearest float."""
-        below, base, k = self._place(self.check_point(p))
+        below, base, k = self._place(p)
         off = Fraction(1, _power(base, k)) if k else 0
         return float(Fraction(self.a) - off if below else Fraction(self.b) + off)
 

@@ -441,6 +441,30 @@ class TestCliBadInput:
         assert code == 1
         assert doc["error"]["type"] == "InstanceFormatError"
 
+    @pytest.mark.parametrize(
+        "distance",
+        [["01", "10"], {"01": 0, "10": 0}, [["0", "1"], "10"]],
+        ids=["list-of-strings", "object", "string-row"],
+    )
+    def test_distance_must_be_list_of_lists(self, tmp_path, capsys, distance):
+        # a string row would be read by its characters, an object by its keys
+        doc_in = {"kind": "finite", "points": ["p", "q"], "distance": distance,
+                  "map": {"p": "q", "q": "p"}}
+        path = write_doc(tmp_path, doc_in)
+        code, doc, _ = run_cli(capsys, ["analyze", "--input", path, "--order", "1"])
+        assert code == 1
+        assert doc["error"]["type"] == "InstanceFormatError"
+        assert "'distance' as a list of lists" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("params", [{"a": True, "b": 2}, {"a": 0, "b": False}])
+    def test_boolean_anchor(self, tmp_path, capsys, params):
+        # float(True) is 1.0, but a JSON true is no number
+        path = write_doc(tmp_path, dict(TWO_PHASE_DOC, params=params))
+        code, doc, _ = run_cli(capsys, ["analyze", "--input", path, "--order", "2"])
+        assert code == 1
+        assert doc["error"]["type"] == "InstanceFormatError"
+        assert "needs numeric params" in doc["error"]["message"]
+
 
     @pytest.mark.parametrize("command", ["analyze", "oracle"])
     def test_empty_finite_space(self, tmp_path, capsys, command):

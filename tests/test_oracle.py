@@ -72,6 +72,29 @@ class TestEnumeratePeriodic:
         assert dict(res.periodic) == {0: 4, 1: 4, 2: 4, 3: 4}
         assert not res.divisor_ok  # 4 does not divide 2
 
+    def test_walk_stops_at_the_space_size(self):
+        # an uncapped walk tries every divisor of n and walks up to n steps;
+        # a prime period is at most |X|, so the capped oracle finds the same
+        def uncapped(space, map_, n):
+            found = []
+            for x in space.points():
+                y = x
+                for p in range(1, n + 1):
+                    y = map_.apply(y)
+                    if y == x and n % p == 0:
+                        found.append((x, p))
+                        break
+            return tuple(found)
+
+        for seed in range(40):
+            space, map_ = random_instance(seed, 12)
+            for n in range(1, 31):
+                assert enumerate_periodic(space, map_, n).periodic == uncapped(space, map_, n)
+        # a 2-cycle with a tail point: orders 10^12 and 12 share the divisors 1 and 2
+        space = unit_space(3)
+        tail = TableMap(space, (1, 0, 0))
+        assert enumerate_periodic(space, tail, 10**12) == enumerate_periodic(space, tail, 12)
+
     def test_orbits_partition_periodic_points(self):
         for seed in range(30):
             space, map_ = random_instance(seed, 8)

@@ -21,9 +21,11 @@ from graphcon import (
     SeqPoint,
     SequenceFamily,
     SequenceSpace,
+    ShiftMap,
     SymmetryViolationError,
     TriangleViolationError,
     as_fraction,
+    classify_limits,
     random_instance,
     validate_finite,
 )
@@ -195,6 +197,15 @@ def ratio_matrices(draw):
     return rows
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """The entries ``validate_finite`` hands to ``as_fraction``, in call order."""
+    read = []
+    parse = spaces.as_fraction
+    monkeypatch.setattr(spaces, "as_fraction", lambda v: read.append(v) or parse(v))
+    return read
+
+
 class TestValidateFinite:
 
     @given(ratio_matrices())
@@ -209,15 +220,32 @@ class TestValidateFinite:
         # calls as_fraction on every entry, on the value or on the error
         assert read_outcome(validate_finite, dist) == read_outcome(reference_read, dist)
 
-    def test_ratio_string_matrix_read_in_one_pass(self, monkeypatch):
-        read = []
-        pair = spaces._pair
-        monkeypatch.setattr(spaces, "_pair", lambda v: read.append(v) or pair(v))
+    def test_ratio_string_matrix_read_in_one_pass(self, parsed):
         assert validate_finite([["0/1", "1/2"], ["2/4", "00/7"]]) == (2, ((0, 1), (1, 0)))
-        assert read == []
-        # any other entry sends the whole matrix through the per-entry read
+        assert parsed == []
+        # any other entry sends the matrix through the per-entry read, which
+        # takes an int as it is and parses every other entry once, in row order
         assert validate_finite([["0/1", "1/2"], ["2/4", 0]]) == (2, ((0, 1), (1, 0)))
-        assert read == ["0/1", "1/2", "2/4", 0]
+        assert parsed == ["0/1", "1/2", "2/4"]
+        parsed.clear()
+        half = Fraction(1, 2)
+        assert validate_finite([[0, 0.5, 1], [half, 0, "1/2"], [1, "0.5", 0]])[0] == 2
+        assert parsed == [0.5, half, "1/2", "0.5"]
+
+    @pytest.mark.parametrize(
+        "dist, error, before",
+        [
+            ([["0/1", "1/2"], ["x", 0]], ValueError, ["0/1", "1/2", "x"]),
+            ([[0, True], [1, 0]], TypeError, [True]),
+            ([[0, 1.0], [math.inf, "y"]], NonFiniteEntryError, [1.0]),
+        ],
+        ids=["bad-string", "bool", "infinite-float"],
+    )
+    def test_bad_entry_read_once(self, parsed, dist, error, before):
+        # the first bad entry in row order stops the read; nothing is read twice
+        with pytest.raises(error):
+            validate_finite(dist)
+        assert parsed == before
 
     def test_all_ones_5x5_ok(self):
         m = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
@@ -646,10 +674,26 @@ class TestSequenceSpaceContract:
 
         foreign_points = (
             2, ("x", 2), SeqPoint("y", 2), SeqPoint("a", 1), other.x(11), SubPoint("x", 2),
+            # an index that is no int, or out of range for its role
+            SeqPoint("x", True), SeqPoint("x", 2.0), SeqPoint("a", 0.0), SeqPoint("x", 0),
+            SeqPoint("b", 1),
         )
-        for foreign in foreign_points:
+        shift, member = ShiftMap(space), space.x(2)
+        entries = (
+            space.check_point,
+            lambda p: space.distance(p, member),
+            lambda p: space.distance(member, p),
+            space.coord,
+            shift.apply,
+            shift.rho,
+            lambda p: shift.power(p, 0),
+            lambda p: shift.power(p, 3),
+            lambda p: classify_limits(space, [p]),
+            lambda p: classify_limits(space, [member, p]),
+        )
+        for foreign, entry in product(foreign_points, entries):
             with pytest.raises(InvalidPointError):
-                space.distance(foreign, space.x(2))
+                entry(foreign)
 
     def test_point_named(self):
         space, _ = two_phase()
