@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from operator import add, getitem, gt, mul
+from operator import add, ge, getitem, gt, mul
 from typing import Callable, Optional
 
 from .errors import BadParamsError, ConsistencyViolationError, require_int, require_kind
@@ -123,19 +123,19 @@ def _sample(x: PointRef, n: int, numer: Fraction, denom: Fraction) -> RatioSampl
 
 
 def _report_from_samples(order, samples, exact):
-    informative = [s for s in samples if not s.trivial]
-    alpha_min = max((s.value for s in informative), default=Fraction(0))
+    alpha_min = max((s.value for s in samples if s.value is not None), default=Fraction(0))
     # Exact: a ratio of 1 or more refutes. Sampled: only a strict exceedance
-    # refutes; a sampled ratio of exactly 1 (or a sup within the margin)
-    # stays inconclusive.
-    over = next((s for s in informative if s.value > 1 or exact and s.value == 1), None)
-    if over is not None:
+    # refutes; a sampled ratio of exactly 1 (or a sup within the margin) stays
+    # inconclusive. Some sample refutes iff alpha_min does; the first is the witness.
+    refutes = ge if exact else gt
+    witness = None
+    if refutes(alpha_min, 1):
         verdict = Verdict.NOT_CONTRACTION
+        witness = next(s.point for s in samples if s.value is not None and refutes(s.value, 1))
     elif not exact and alpha_min >= 1 - INCONCLUSIVE_MARGIN:
         verdict = Verdict.INCONCLUSIVE_SAMPLED
     else:
         verdict = Verdict.CONTRACTION
-    witness = None if over is None else over.point
     return ContractionReport(order, alpha_min, exact, verdict, witness, tuple(samples))
 
 

@@ -104,12 +104,12 @@ class ShiftMap:
     space: SequenceSpace
 
     def apply(self, p: SeqPoint) -> SeqPoint:
-        p = self.space.check_point(p)
-        if p.role == "a":
+        role, n = self.space.check_point(p)
+        if role == "a":
             return self.space.b_point
-        if p.role == "b":
+        if role == "b":
             return self.space.a_point
-        return self.space.x(p.n + 1)
+        return self.space.x(n + 1)
 
     def rho(self, p: SeqPoint) -> tuple | None:
         """The anchors' 2-cycle (a, b) entered at once; None for every x_m."""

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, floordiv, gt, mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     BadParamsError,
@@ -305,11 +305,11 @@ def _power(base: int, k: int) -> int:
     return 1 << k if base == 2 else 3**k
 
 
-@dataclass(frozen=True, slots=True)
-class SeqPoint:
+class SeqPoint(NamedTuple):
     """A point of a ``SequenceSpace``: an anchor (role ``"a"`` or ``"b"``,
-    n = 0) or the family member x_n (role ``"x"``, n >= 1). Points carry no
-    coordinate; the owning space computes distances and coordinates."""
+    n = 0) or the family member x_n (role ``"x"``, n >= 1), with no
+    coordinate. A named tuple (C-level hash, ``==`` and unpacking), equal to
+    its plain ``(role, n)``, which the spaces refuse all the same."""
 
     role: str  # "a" | "b" | "x"
     n: int
@@ -351,7 +351,7 @@ class SequenceSpace:
             finite = all(map(math.isfinite, (self.a, self.b, self.b - self.a)))
         except (OverflowError, TypeError):  # an int past the float range, or no number
             finite = False
-        if not finite:
+        if not finite or bool in (type(self.a), type(self.b)):  # False is no anchor
             raise BadParamsError(
                 f"need finite real anchors and a finite gap b - a, "
                 f"got a={self.a!r}, b={self.b!r}"
@@ -375,7 +375,7 @@ class SequenceSpace:
         """The n-th family point (1-based)."""
         if type(n) is not int or not 1 <= n <= self.max_index:
             raise InvalidPointError(f"index {n!r} outside 1..{self.max_index}")
-        return SeqPoint("x", n)
+        return tuple.__new__(SeqPoint, ("x", n))  # no call to the generated __new__
 
     # -- membership and distance --------------------------------------------
 
@@ -390,7 +390,7 @@ class SequenceSpace:
         that is not a point of this space raises ``InvalidPointError``."""
         if type(p) is not SeqPoint:
             raise InvalidPointError(f"{p!r} is not a point of a sequence space")
-        role, n = p.role, p.n
+        role, n = p
         if role not in ("x", "a", "b"):
             raise InvalidPointError(f"unknown point role {role!r}")
         low, high = (1, self.max_index) if role == "x" else (0, 0)
@@ -436,7 +436,7 @@ class SequenceSpace:
 
     def point_named(self, name: str) -> SeqPoint:
         """Resolve ``"a"``, ``"b"``, ``"x12"`` or ``"x_12"``."""
-        s = name.strip()
+        s = name.strip() if isinstance(name, str) else ""  # no name: refused below
         if s == "a":
             return self.a_point
         if s == "b":

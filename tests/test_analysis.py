@@ -11,6 +11,7 @@ from graphcon import (
     BadParamsError,
     ConsistencyViolationError,
     ContractionClass,
+    RatioSample,
     SequenceFamily,
     SequenceSpace,
     ShiftMap,
@@ -24,7 +25,7 @@ from graphcon import (
     ratio,
     ratio_limit_probe,
 )
-from graphcon.analysis import _report_from_samples
+from graphcon.analysis import INCONCLUSIVE_MARGIN, _report_from_samples
 
 from builders import four_phase, two_phase, unit_space
 
@@ -228,6 +229,60 @@ def reference_sampled(space, map_, n, cap):
     """The sampled report from one independent ``ratio`` per sample point."""
     samples = [ratio(space, map_, n, p) for p in space.sample_points(cap)]
     return _report_from_samples(n, samples, exact=False)
+
+
+def full_scan_report(order, samples, exact):
+    """(verdict, alpha_min, witness) as read by a scan of every sample for
+    the first refuting one, whatever ``alpha_min`` is."""
+    informative = [s for s in samples if not s.trivial]
+    alpha_min = max((s.value for s in informative), default=Fraction(0))
+    over = next((s for s in informative if s.value > 1 or exact and s.value == 1), None)
+    if over is not None:
+        verdict = Verdict.NOT_CONTRACTION
+    elif not exact and alpha_min >= 1 - INCONCLUSIVE_MARGIN:
+        verdict = Verdict.INCONCLUSIVE_SAMPLED
+    else:
+        verdict = Verdict.CONTRACTION
+    return verdict, alpha_min, None if over is None else over.point
+
+
+def report_outcome(report):
+    return report.verdict, report.alpha_min, report.witness
+
+
+class TestReportMatchesFullScan:
+    @pytest.mark.parametrize("family", [two_phase, four_phase])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sequence_families(self, family, n, exact):
+        space, map_ = family(-2.5, 3.25)
+        samples = alpha_sampled(space, map_, n, index_cap=200).samples
+        report = _report_from_samples(n, samples, exact)
+        assert report_outcome(report) == full_scan_report(n, samples, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_witness_is_first_refuting_sample_not_the_largest(self, exact):
+        values = [Fraction(1, 2), None, Fraction(3, 2), Fraction(1), Fraction(5, 2), Fraction(2)]
+        samples = [RatioSample(i, 1, Fraction(1), v) for i, v in enumerate(values)]
+        report = _report_from_samples(1, samples, exact)
+        assert report_outcome(report) == full_scan_report(1, samples, exact)
+        assert report.witness == 2 and report.alpha_min == Fraction(5, 2)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_ratio_exactly_one(self, exact):
+        # a ratio of 1 refutes an exact report but leaves a sampled one open
+        values = [Fraction(1, 3), None, Fraction(1), Fraction(1, 2), Fraction(1)]
+        samples = [RatioSample(i, 1, Fraction(1), v) for i, v in enumerate(values)]
+        report = _report_from_samples(1, samples, exact)
+        assert report_outcome(report) == full_scan_report(1, samples, exact)
+        assert report.witness == (2 if exact else None)
+
+    def test_alpha_exact_at_ratio_one(self, five_swap):
+        space, map_ = five_swap
+        report = alpha_exact(space, map_, 1)
+        assert report.alpha_min == 1
+        assert report_outcome(report) == full_scan_report(1, report.samples, True)
+        assert report.witness == 0
 
 
 class TestSampledReadsEachStepOnce:

@@ -1,12 +1,15 @@
 """Instance files and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import graphcon
 from graphcon import (
     BadParamsError,
     FiniteSpace,
@@ -476,14 +479,20 @@ class TestCliBadInput:
         assert doc["error"]["type"] == "BadParamsError"
 
 
+def cli_process(*args):
+    """``python -m graphcon.cli *args`` in a new process that imports the
+    graphcon this process imported, installed or not."""
+    path = [str(Path(graphcon.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "graphcon.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestCliProcess:
     def test_module_entry_point(self, tmp_path):
         path = write_doc(tmp_path, FIVE_SWAP_DOC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphcon.cli", "oracle", "--input", path, "--order", "6"],
-            capture_output=True,
-            text=True,
-        )
+        proc = cli_process("oracle", "--input", path, "--order", "6")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert len(doc["periodic"]) == 5
@@ -494,9 +503,7 @@ class TestCliProcess:
         # option given to one call may carry over to the next
         path = write_doc(tmp_path, TWO_PHASE_DOC)
         solve = ["solve", "--input", path, "--order", "2", "--start", "x1"]
-        fresh = subprocess.run(
-            [sys.executable, "-m", "graphcon.cli", *solve], capture_output=True, text=True
-        )
+        fresh = cli_process(*solve)
         assert main(solve) == 0
         with pytest.raises(SystemExit) as refused:
             main(["solve", "--input", path, "--order", "two"])

@@ -11,6 +11,9 @@ from graphcon import (
     BadParamsError,
     InvalidPointError,
     SeqPoint,
+    SequenceFamily,
+    SequenceSpace,
+    ShiftMap,
     TableMap,
     iterate,
     prime_period,
@@ -73,6 +76,12 @@ class TestApply:
         _, map_ = five_swap
         with pytest.raises(InvalidPointError):
             map_.apply(9)
+
+    def test_shift_past_the_index_cap(self):
+        # the last family point has no successor in its space
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
+        with pytest.raises(InvalidPointError, match="index 11 outside 1..10"):
+            ShiftMap(space).apply(space.x(10))
 
 
 class TestIterate:

@@ -96,6 +96,8 @@ CALLS = {
     "sequence-space-unknown-family": lambda: SequenceSpace("nope", 0.0, 1.0),
     "sequence-space-anchor-text": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, "0", 1.0),
     "sequence-space-anchor-none": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, None),
+    "sequence-space-anchor-false": lambda: SequenceSpace("example_2_3", False, 1.0),
+    "sequence-space-anchor-true": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, True),
 }
 
 

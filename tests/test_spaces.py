@@ -679,6 +679,7 @@ class TestSequenceSpaceContract:
             SeqPoint("b", 1),
         )
         shift, member = ShiftMap(space), space.x(2)
+        assert ("x", 2) == member  # equal as tuples, refused all the same
         entries = (
             space.check_point,
             lambda p: space.distance(p, member),
@@ -702,6 +703,22 @@ class TestSequenceSpaceContract:
         assert space.point_named("x_12") == space.x(12)
         with pytest.raises(InvalidPointError):
             space.point_named("y3")
+        for name in (5, None, b"x3"):  # no name at all
+            with pytest.raises(InvalidPointError, match="cannot parse point name"):
+                space.point_named(name)
+
+    def test_point_repr_name_and_hash(self):
+        space, _ = two_phase()
+        points = {space.a_point: "a", space.b_point: "b", space.x(3): "x3", space.x(12): "x12"}
+        for p, name in points.items():
+            assert p.name == name
+            assert repr(p) == f"SeqPoint({name})"
+        # equal points built apart hash equal, so they find one dict entry
+        for p in points:
+            q = SeqPoint(p.role, p.n)
+            assert q == p and q is not p and hash(q) == hash(p)
+            assert points[q] == p.name
+        assert SeqPoint("x", 3) != SeqPoint("x", 4) and SeqPoint("a", 0) != SeqPoint("b", 0)
 
     @given(
         st.integers(min_value=1, max_value=300),
