@@ -69,10 +69,6 @@ class RatioSample:
     def trivial(self) -> bool:
         return self.value is None
 
-    @property
-    def status(self) -> str:
-        return "trivial" if self.trivial else "ratio"
-
 
 class Verdict(str, Enum):
     CONTRACTION = "Contraction"
@@ -152,10 +148,9 @@ def alpha_sampled(
     """Ratio at a, b and the first ``index_cap`` family points.
 
     The ratio at p is ``step(T^n p) / step(p)`` with ``step(q) = d(q, T^n q)``,
-    and each step is computed once per call: T is applied once per distinct
-    orbit point, ``index_cap + 2n + 1`` times under the shift, and a
-    distance is evaluated once per step, ``index_cap + n + 2`` times when
-    ``index_cap >= n``. The samples reach ``x_{index_cap + 2n}``, so a cap
+    and each step is computed once per call: ``T^n q`` is read once by
+    ``map_.power`` and a distance is evaluated once, ``index_cap + n + 2``
+    times each when ``index_cap >= n``. The samples reach ``x_{index_cap + 2n}``, so a cap
     that puts that index past the space's ``max_index`` is refused.
     """
     require_kind("alpha_sampled", space, SequenceSpace)
@@ -166,18 +161,12 @@ def alpha_sampled(
             f"index_cap {index_cap} at order {n} needs x{index_cap + 2 * n}, "
             f"past max_index {space.max_index}"
         )
-    succ = {}  # q -> T q
     steps = {}  # q -> (T^n q, d(q, T^n q))
 
     def step(q):
         got = steps.get(q)
         if got is None:
-            t = q
-            for _ in range(n):
-                nxt = succ.get(t)
-                if nxt is None:
-                    nxt = succ[t] = map_.apply(t)
-                t = nxt
+            t = map_.power(q, n)
             got = steps[q] = t, space.distance(q, t)
         return got
 

@@ -31,7 +31,7 @@ def _sample_json(space, s: analysis.RatioSample) -> dict:
         "point": point_json(space, s.point),
         "numer": _number(s.numer),
         "denom": _number(s.denom),
-        "status": s.status,
+        "status": "trivial" if s.trivial else "ratio",
         "value": None if s.trivial else _number(s.value),
     }
 

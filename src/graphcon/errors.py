@@ -3,6 +3,7 @@ every engine runs where it uses a parameter."""
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 
 
@@ -59,17 +60,29 @@ class NotConvergedError(GraphconError):
     Happens when the map does not contract (empirical step ratios at or
     above 1) or when the underlying space has no limit to converge to.
     ``reason`` says why the subsequence was given up, such as the ratio
-    estimate or the length of the cycle its orbit entered.
+    estimate or the length of the cycle its orbit entered. ``last_step``
+    is the exact distance between the strand's last two terms, or None.
     """
 
     def __init__(self, residue: int, last_step, gamma_hat, reason: str):
         super().__init__(
             f"subsequence {residue} did not converge "
-            f"(last step {last_step}, {reason})"
+            f"(last step {_step_text(last_step)}, {reason})"
         )
         self.residue = residue
         self.last_step = last_step
         self.gamma_hat = gamma_hat
+
+
+def _step_text(step) -> str:
+    """A step distance as a float, or as a power of two where the float
+    would read 0 or overflow: a nonzero step never reads as 0."""
+    if step is None:
+        return "None"
+    if not step or 2.0**-1000 < step < 2.0**1000:
+        return str(float(step))
+    num, den = step.as_integer_ratio()
+    return f"2^{math.log2(num) - math.log2(den):.3f}"
 
 
 class ToleranceAmbiguityError(GraphconError):

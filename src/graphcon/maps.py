@@ -10,7 +10,8 @@ On a finite space every orbit is such a "rho": a tail of ``t`` steps that
 runs into a cycle. ``TableMap`` finds every point's tail length, cycle and
 entry position once, in O(|X|), so ``power`` walks at most the tail and
 then indexes the cycle, whatever ``k`` is. Under the shift only the
-anchors cycle; ``ShiftMap.power`` applies the shift ``k`` times.
+anchors cycle, and ``ShiftMap.power`` is arithmetic: ``x_m`` goes to
+``x_{m+k}``, and the anchors swap when ``k`` is odd.
 """
 
 from __future__ import annotations
@@ -119,19 +120,13 @@ class ShiftMap:
         return 0, (self.space.a_point, self.space.b_point), int(p.role == "b")
 
     def power(self, p: SeqPoint, k: int) -> SeqPoint:
-        """T^k p by k applications of the shift.
-
-        The traced benchmark checks that a solve makes exactly
-        ``iterations_used + n + period + (proper divisors below the
-        period)`` calls to ``apply``, so the arithmetic form
-        (``x_m -> x_{m+k}``, the anchors swap when ``k`` is odd) is left
-        for a change that updates that check.
-        """
+        """T^k p in closed form: x_m -> x_{m+k}, and an anchor stays put
+        for even k and becomes the other anchor for odd k."""
         require_int("iteration count", k, 0)
-        p = self.space.check_point(p)
-        for _ in range(k):
-            p = self.apply(p)
-        return p
+        role, m = self.space.check_point(p)
+        if role == "x":
+            return self.space.x(m + k)
+        return p if k % 2 == 0 else SeqPoint("b" if role == "a" else "a", 0)
 
 
 MapModel = Union[TableMap, ShiftMap]
@@ -140,9 +135,9 @@ MapModel = Union[TableMap, ShiftMap]
 def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
     """T^k x, that is ``map_.power(x, k)``; k = 0 returns x unchanged.
 
-    A table map reads it off its rho structure (tail, then cycle index),
-    so the cost does not grow with ``k``; the shift map applies itself
-    ``k`` times.
+    Neither map's cost grows with ``k``: a table map reads it off its rho
+    structure (tail, then cycle index), and the shift adds ``k`` to an
+    index or swaps the anchors when ``k`` is odd.
     """
     return map_.power(x, k)
 

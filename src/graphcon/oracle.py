@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .analysis import Verdict, alpha_exact
 from .errors import require_int, require_kind
@@ -33,12 +33,6 @@ class OracleResult:
     periodic: tuple  # ((point, prime_period), ...)
     orbits: tuple  # disjoint cycles, each a tuple of points
     divisor_ok: bool
-
-    def period_of(self, point) -> Optional[int]:
-        for p, per in self.periodic:
-            if p == point:
-                return per
-        return None
 
 
 def enumerate_periodic(
@@ -134,7 +128,7 @@ def crosscheck(
     """
     result = enumerate_periodic(space, map_, n)
     rep = solution.representative
-    oracle_period = result.period_of(rep)
+    oracle_period = dict(result.periodic).get(rep)
     if oracle_period is None:
         return CrosscheckResult(
             False, f"representative {rep} is not periodic for order {n}"

@@ -42,7 +42,7 @@ from .errors import (
     require_int,
     require_tolerance,
 )
-from .maps import MapModel, iterate
+from .maps import MapModel
 from .spaces import PointRef, SpaceModel
 
 __all__ = [
@@ -62,6 +62,7 @@ DEFAULT_CLUSTER_TOL = 1e-7  # 10^3 * tol: clustering must dominate truncation
 DEFAULT_MAX_OUTER = 100_000
 GAMMA_CAP = 1 - 1e-9
 RATIO_WINDOW = 3
+MAX_ORDER = 100_000  # n strands, n limits and divisors(n) are built per solve
 
 
 def divisors(n: int) -> List[int]:
@@ -172,9 +173,10 @@ def advance_subsequences(
     first), which is what the solver's consistency checks rely on. Raises
     NotConvergedError if some strand has not converged after ``max_outer``
     terms, or if the orbit leaves the space first (an InvalidPointError
-    from the map or the space).
+    from the map or the space). An order above ``MAX_ORDER`` is refused
+    before anything of size n is built.
     """
-    require_int("order", n, 1)
+    require_int("order", n, 1, MAX_ORDER)
     require_int("max_outer", max_outer, 2)
     require_tolerance("tol", tol)  # here too: an orbit read off a cycle needs no stopper
     shape = map_.rho(start)
@@ -184,7 +186,7 @@ def advance_subsequences(
         if n % length:  # x_{t+Mn} is the first revisit, M = L / gcd(n, L)
             step = space.distance(cycle[(entry - n) % length], cycle[entry])
             raise NotConvergedError(
-                t % n + 1, float(step), None,
+                t % n + 1, step, None,
                 f"the orbit of T^{n} enters a cycle of length {length // math.gcd(n, length)}",
             )
         return [
@@ -214,7 +216,7 @@ def advance_subsequences(
             f"the budget of {max_outer} terms ran out" if st.gamma_hat is None
             else f"ratio estimate {st.gamma_hat}"
         )
-        raise NotConvergedError(min(pending) + 1, float(st.last), st.gamma_hat, reason)
+        raise NotConvergedError(min(pending) + 1, st.last, st.gamma_hat, reason)
     return [
         SubsequenceState(
             residue=i + 1,
@@ -228,10 +230,15 @@ def advance_subsequences(
 
 
 def _left_space(residue: int, last_step, gamma_hat, terms: int) -> NotConvergedError:
-    last = None if last_step is None else float(last_step)
-    return NotConvergedError(
-        residue, last, gamma_hat, f"the orbit leaves the space after {terms} terms"
-    )
+    reason = f"the orbit leaves the space after {terms} terms"
+    return NotConvergedError(residue, last_step, gamma_hat, reason)
+
+
+def _walk(map_: MapModel, x: PointRef, k: int) -> PointRef:
+    """T^k x by k calls of ``map_.apply``."""
+    for _ in range(k):
+        x = map_.apply(x)
+    return x
 
 
 class LimitCase(str, Enum):
@@ -334,14 +341,13 @@ def solve(
     The limits are clustered within ``1000 * tol`` (``DEFAULT_CLUSTER_TOL``
     at the default), then verified: consecutive limits must chain under T,
     the representative must return to itself after p steps, and no proper
-    divisor below p may already bring it back. An image under T is checked
-    as a point of ``space`` before it is compared, so that ``True``, equal
-    to 1, is not taken for a point; in the chain only an image whose type
-    differs from its limit's needs the check, as one of the same type
-    equals a checked point or is compared by a distance, which checks it.
-    When every strand ended constant the limits are exact, and both steps
-    use tolerance 0: they compare the limits by identity and evaluate no
-    distance.
+    divisor below p may already bring it back. The verification steps T
+    with ``map_.apply`` alone, so it relies on neither ``power`` nor
+    ``rho``, the fast paths that produced the limits. Every image under T
+    is checked as a point of ``space`` before it is compared, so that
+    ``True``, equal to 1, is not taken for a point. When every strand
+    ended constant the limits are exact, and both steps use tolerance 0:
+    they compare the limits by identity and evaluate no distance.
     """
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
@@ -358,8 +364,7 @@ def solve(
             terms = sum(len(s.terms) for s in states)
             raise _left_space(i + 1, st.last_step, st.gamma_hat, terms) from None
         following = limits[(i + 1) % n]
-        if type(image) is not type(following):  # True == 1 but is no point
-            space.check_point(image)
+        space.check_point(image)  # True == 1 but is no point
         if not _within(space, image, following, cluster_tol):
             gap = float(space.distance(image, following))
             raise ConsistencyViolationError(
@@ -368,7 +373,7 @@ def solve(
                 "not settled within tol"
             )
     representative = limits[0]
-    back = space.check_point(iterate(map_, representative, period))
+    back = space.check_point(_walk(map_, representative, period))
     residual = 0 if back == representative else space.distance(back, representative)
     if residual > cluster_tol:
         raise ConsistencyViolationError(
@@ -378,7 +383,7 @@ def solve(
     for q in divisors(n):
         if q >= period:
             break
-        again = space.check_point(iterate(map_, representative, q))
+        again = space.check_point(_walk(map_, representative, q))
         if _within(space, again, representative, cluster_tol):
             raise ToleranceAmbiguityError(
                 f"representative already returns after {q} steps although "

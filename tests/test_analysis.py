@@ -303,10 +303,10 @@ class TestSampledReadsEachStepOnce:
 
     @pytest.mark.parametrize("family", [two_phase, four_phase])
     def test_each_step_once(self, family, monkeypatch):
-        # the shift's apply once per distinct orbit point (a, b and
-        # x_1 .. x_{cap + 2n - 1}), a distance once per step read: at a, b,
-        # x_1 .. x_cap and x_{n+1} .. x_{n+cap}, which overlap when cap >= n
-        counts = {"apply": 0, "distance": 0}
+        # T^n read by power and a distance taken once per step: at a, b,
+        # x_1 .. x_cap and x_{n+1} .. x_{n+cap}, which overlap when cap >= n;
+        # the shift is never applied one step at a time
+        counts = {"apply": 0, "power": 0, "distance": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -315,13 +315,14 @@ class TestSampledReadsEachStepOnce:
             return wrapper
 
         monkeypatch.setattr(ShiftMap, "apply", counted("apply", ShiftMap.apply))
+        monkeypatch.setattr(ShiftMap, "power", counted("power", ShiftMap.power))
         monkeypatch.setattr(SequenceSpace, "distance", counted("distance", SequenceSpace.distance))
         space, map_ = family()
         for n, cap in [(1, 1), (1, 200), (2, 1), (2, 29), (4, 2000), (5, 3), (8, 64)]:
-            counts.update(apply=0, distance=0)
+            counts.update(apply=0, power=0, distance=0)
             alpha_sampled(space, map_, n, cap)
-            expected = {"apply": cap + 2 * n + 1, "distance": cap + min(cap, n) + 2}
-            assert counts == expected, (n, cap)
+            steps = cap + min(cap, n) + 2
+            assert counts == {"apply": 0, "power": steps, "distance": steps}, (n, cap)
 
 
 class TestRatioLimitProbe:

@@ -1,17 +1,21 @@
-"""The benchmark's tracer patches graphcon functions by name.
+"""The benchmark's tracer patches graphcon functions by name, and its
+workloads check graphcon's outputs.
 
-A refactor that renames or moves a traced function breaks the benchmark's
-traced run; this test makes it fail here first. It only reads ``bench/``.
+A refactor that renames or moves a traced function, or changes what a
+workload reads or counts, breaks the benchmark; these tests make it fail
+here first. They only read ``bench/``.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import graphcon
 
 from builders import two_phase
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -75,3 +79,35 @@ def test_traced_finite_space_counts_its_validation():
     finally:
         hooks.uninstall()
     assert calls == 1
+
+
+def test_one_round_of_every_workload_passes_its_checks(tmp_path, monkeypatch):
+    # each workload's operations, run once and checked as the benchmark
+    # checks them; sequence once more with the tracer installed, so that
+    # its solves' traced apply counts are checked too
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    def failures(ops):
+        failed = []
+        for op in ops:
+            try:
+                op.check(op.run())
+            except Exception as exc:  # a raising operation fails, as in a round
+                if not op.known_fault:
+                    failed.append((op.name, f"{type(exc).__name__}: {exc}"))
+        return failed
+
+    for name, build in workloads.BUILDERS.items():
+        hooks = tracer.Tracer()
+        workdir = tmp_path / name
+        workdir.mkdir()
+        ops = build(random.Random(1), workdir, hooks)
+        assert failures(ops) == [], name
+        if name == "sequence":
+            hooks.install()
+            try:
+                assert failures(ops) == [], "sequence, traced"
+            finally:
+                hooks.uninstall()

@@ -256,6 +256,20 @@ class TestCliSolve:
         assert doc["error"]["type"] == "NotConvergedError"
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["solve", "crosscheck"])
+    def test_order_above_the_cap_refused(self, tmp_path, capsys, command):
+        # refused before any of the order's strands or limits is built
+        doc_in = dict(FIVE_SWAP_DOC, points=["p", "q", "r"],
+                      distance=[row[:3] for row in FIVE_SWAP_DOC["distance"][:3]],
+                      map={"p": "q", "q": "p", "r": "r"})
+        path = write_doc(tmp_path, doc_in)
+        code, doc, _ = run_cli(
+            capsys, [command, "--input", path, "--order", "100001", "--start", "r"]
+        )
+        assert code == 1
+        assert doc["error"]["type"] == "BadParamsError"
+        assert "100001" in doc["error"]["message"]
+
     def test_unknown_start_point(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIVE_SWAP_DOC)
         code, doc, _ = run_cli(

@@ -154,6 +154,29 @@ class TestPower:
             expected = literal_powers(map_, x, 13)
             assert [map_.power(x, k) for k in range(13)] == expected
 
+    @pytest.mark.parametrize("build", [two_phase, four_phase])
+    def test_shift_power_never_applies(self, build, monkeypatch):
+        space, map_ = build()
+        starts = [space.a_point, space.b_point] + [space.x(m) for m in range(1, 6)]
+        expected = {x: literal_powers(map_, x, 13) for x in starts}
+
+        def refuse(self, p):
+            raise AssertionError("power applied the shift")
+
+        monkeypatch.setattr(ShiftMap, "apply", refuse)
+        for x in starts:
+            assert [map_.power(x, k) for k in range(13)] == expected[x], x
+        assert map_.power(space.a_point, 10**18 + 1) == space.b_point
+
+    def test_shift_power_past_the_index_cap(self):
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
+        shift = ShiftMap(space)
+        assert shift.power(space.x(4), 6) == space.x(10)
+        with pytest.raises(InvalidPointError, match="index 11 outside 1..10"):
+            shift.power(space.x(4), 7)
+        with pytest.raises(InvalidPointError, match="index 1000000000000000003 outside"):
+            shift.power(space.x(3), 10**18)
+
     def test_equality_and_repr_see_only_space_and_images(self):
         space = unit_space(5)
         first, second = TableMap(space, (1, 0, 3, 4, 2)), TableMap(space, (1, 0, 3, 4, 2))

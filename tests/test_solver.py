@@ -39,6 +39,7 @@ from graphcon.solver import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_MAX_OUTER,
     DEFAULT_TOL,
+    MAX_ORDER,
     TailBoundStopper,
 )
 
@@ -215,7 +216,7 @@ def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
                 pending.discard(i)
             elif nxt in seen[i]:
                 raise NotConvergedError(
-                    i + 1, float(step), stoppers[i].gamma_hat,
+                    i + 1, step, stoppers[i].gamma_hat,
                     f"the orbit of T^{n} enters a cycle of length {k - seen[i][nxt]}",
                 )
             else:
@@ -230,7 +231,7 @@ def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
             f"the budget of {max_outer} terms ran out" if st_.gamma_hat is None
             else f"ratio estimate {st_.gamma_hat}"
         )
-        raise NotConvergedError(min(pending) + 1, float(st_.last), st_.gamma_hat, reason)
+        raise NotConvergedError(min(pending) + 1, st_.last, st_.gamma_hat, reason)
     return [
         SubsequenceState(i + 1, t, last[i], stop.gamma_hat, t[-1])
         for i, (t, stop) in enumerate(zip(terms, stoppers))
@@ -604,21 +605,58 @@ class TestSolve:
         assert (sol.period, sol.case) == (2, LimitCase.A_ALL_DISTINCT)
 
     @pytest.mark.parametrize("start", [0, 1])
-    @pytest.mark.parametrize("step", ["apply", "power"])
+    @pytest.mark.parametrize("step", ["apply", "walk"])
     def test_image_that_is_no_point_refused(self, step, start):
-        # point 1 comes back as True, which equals 1 but is no point index:
-        # from `apply` in the chain check; from `power` in the proper-divisor
-        # check (start 0) or the representative's return (start 1)
+        # point 1 comes back from `apply` as True, which equals 1 but is no
+        # point index: from every call ("apply"), caught in the chain check,
+        # or only after the chain check's two calls ("walk"), caught in the
+        # representative's return walk (start 0) or after it (start 1)
         space = unit_space(3)
         swap = TableMap(space, (1, 0, 2))
+        calls = []
 
-        def odd(*args):
-            image = getattr(swap, step)(*args)
-            return True if image == 1 else image
+        def odd(x):
+            calls.append(x)
+            image = swap.apply(x)
+            late = step == "apply" or len(calls) > 2
+            return True if image == 1 and late else image
 
-        steps = {"apply": swap.apply, "power": swap.power, step: odd}
         with pytest.raises(InvalidPointError, match="True is not a point index"):
-            solve(space, SimpleNamespace(rho=swap.rho, **steps), 2, start)
+            solve(space, SimpleNamespace(rho=swap.rho, apply=odd), 2, start)
+
+    def test_verification_walks_with_apply_alone(self, two_phase):
+        # the limits come from the walk and rho; the checks after it step T
+        # with apply, never with power
+        space, shift = two_phase
+        for n, start in [(2, space.x(1)), (4, space.x(3)), (6, space.a_point)]:
+            sol = solve(space, SimpleNamespace(apply=shift.apply, rho=shift.rho), n, start)
+            assert sol == solve(space, shift, n, start)
+
+    def test_order_above_the_cap_refused(self):
+        space = unit_space(3)
+        fixed = TableMap(space, (0, 1, 2))
+        assert solve(space, fixed, MAX_ORDER, 2).period == 1
+        for run in (advance_subsequences, solve):
+            with pytest.raises(BadParamsError, match=f"between 1 and {MAX_ORDER}"):
+                run(space, fixed, MAX_ORDER + 1, 2)
+
+    def test_step_below_the_float_range_never_reads_zero(self):
+        # four-phase at order 2 does not contract: its strand steps shrink
+        # past the smallest float long before the budget runs out
+        space = SequenceSpace(SequenceFamily.FOUR_PHASE, 0.0, 1.0)
+        with pytest.raises(NotConvergedError) as err:
+            solve(space, ShiftMap(space), 2, space.x(1), max_outer=2500)
+        assert "last step 2^-1250.000," in str(err.value)
+        assert err.value.last_step > 0 and float(err.value.last_step) == 0
+        with pytest.raises(NotConvergedError, match=r"last step 1\.6885\d*e-226,"):
+            solve(space, ShiftMap(space), 2, space.x(1), max_outer=1500)
+
+    def test_step_above_the_float_range_is_no_overflow(self):
+        # a 2-cycle at order 1 is given up at once; its step, 10^400, has no float
+        space = FiniteSpace.from_rows("pq", [[0, "1e400"], ["1e400", 0]])
+        with pytest.raises(NotConvergedError, match=r"last step 2\^1328\.771,") as err:
+            solve(space, TableMap(space, (1, 0)), 1, 0)
+        assert err.value.last_step == 10**400
 
     def test_wrap_around_gap_detected(self, two_phase):
         # T jumps away from the last term walked, a step the stopping rule
