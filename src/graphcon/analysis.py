@@ -11,9 +11,9 @@ prefix of the family, and the verdict is labelled accordingly. Every
 ratio is an exact rational on both kinds of space. Sampling can refute
 (a sampled ratio above 1) but never certify an infinite space, so near-1
 sampled suprema are reported as inconclusive rather than as contractions.
-Sampling computes each orbit step d(q, T^n q) once, since the numerator
-at x is the step at T^n x; with cap c it reaches x_{c+2n}, which the
-space must hold.
+Both reports compute each orbit step d(q, T^n q) once, since the
+numerator at x is the step at T^n x; sampling with cap c reaches
+x_{c+2n}, which the space must hold.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ __all__ = [
 
 # sampled sup within this margin of 1 is never certified as a contraction
 INCONCLUSIVE_MARGIN = 1e-3
+# the largest index_cap alpha_sampled accepts: sample k keeps a denominator
+# of about k bits, so memory grows with the square of the cap
+MAX_INDEX_CAP = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,32 +138,9 @@ def _report_from_samples(order, samples, exact):
     return ContractionReport(order, alpha_min, exact, verdict, witness, tuple(samples))
 
 
-def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport:
-    """Ratio at every point of a finite space, in exact arithmetic."""
-    require_kind("alpha_exact", space, FiniteSpace)
-    samples = [ratio(space, map_, n, x) for x in space.points()]
-    return _report_from_samples(n, samples, exact=True)
-
-
-def alpha_sampled(
-    space: SequenceSpace, map_: MapModel, n: int, index_cap: int = 200
-) -> ContractionReport:
-    """Ratio at a, b and the first ``index_cap`` family points.
-
-    The ratio at p is ``step(T^n p) / step(p)`` with ``step(q) = d(q, T^n q)``,
-    and each step is computed once per call: ``T^n q`` is read once by
-    ``map_.power`` and a distance is evaluated once, ``index_cap + n + 2``
-    times each when ``index_cap >= n``. The samples reach ``x_{index_cap + 2n}``, so a cap
-    that puts that index past the space's ``max_index`` is refused.
-    """
-    require_kind("alpha_sampled", space, SequenceSpace)
-    require_int("index_cap", index_cap, 1)
-    require_int("order", n, 1)
-    if index_cap + 2 * n > space.max_index:
-        raise BadParamsError(
-            f"index_cap {index_cap} at order {n} needs x{index_cap + 2 * n}, "
-            f"past max_index {space.max_index}"
-        )
+def _step_once_report(space, map_, n, points, exact):
+    """The report over ``points``: the ratio at p is ``step(T^n p) / step(p)``
+    with ``step(q) = d(q, T^n q)``, each taken once by one power and one distance."""
     steps = {}  # q -> (T^n q, d(q, T^n q))
 
     def step(q):
@@ -171,10 +151,37 @@ def alpha_sampled(
         return got
 
     samples = []
-    for p in space.sample_points(index_cap):
+    for p in points:
         tn, denom = step(p)
         samples.append(_sample(p, n, step(tn)[1], denom))
-    return _report_from_samples(n, samples, exact=False)
+    return _report_from_samples(n, samples, exact)
+
+
+def alpha_exact(space: FiniteSpace, map_: MapModel, n: int) -> ContractionReport:
+    """Ratio at every point of a finite space, in exact arithmetic."""
+    require_kind("alpha_exact", space, FiniteSpace)
+    require_int("order", n, 1)
+    return _step_once_report(space, map_, n, space.points(), exact=True)
+
+
+def alpha_sampled(
+    space: SequenceSpace, map_: MapModel, n: int, index_cap: int = 200
+) -> ContractionReport:
+    """Ratio at a, b and the first ``index_cap`` family points.
+
+    It takes ``index_cap + n + 2`` steps when ``index_cap >= n``. The samples
+    reach ``x_{index_cap + 2n}``, so a cap that puts that index past the
+    space's ``max_index`` is refused, and so is one above ``MAX_INDEX_CAP``.
+    """
+    require_kind("alpha_sampled", space, SequenceSpace)
+    require_int("index_cap", index_cap, 1, MAX_INDEX_CAP)
+    require_int("order", n, 1)
+    if index_cap + 2 * n > space.max_index:
+        raise BadParamsError(
+            f"index_cap {index_cap} at order {n} needs x{index_cap + 2 * n}, "
+            f"past max_index {space.max_index}"
+        )
+    return _step_once_report(space, map_, n, space.sample_points(index_cap), exact=False)
 
 
 def ratio_limit_probe(

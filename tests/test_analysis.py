@@ -11,6 +11,7 @@ from graphcon import (
     BadParamsError,
     ConsistencyViolationError,
     ContractionClass,
+    FiniteSpace,
     RatioSample,
     SequenceFamily,
     SequenceSpace,
@@ -25,9 +26,10 @@ from graphcon import (
     ratio,
     ratio_limit_probe,
 )
-from graphcon.analysis import INCONCLUSIVE_MARGIN, _report_from_samples
+from graphcon import analysis
+from graphcon.analysis import INCONCLUSIVE_MARGIN, MAX_INDEX_CAP, _report_from_samples
 
-from builders import four_phase, two_phase, unit_space
+from builders import banach_chain, five_swap, four_phase, two_phase, unit_space
 
 
 def exact_two_phase_ratio(n, idx):
@@ -139,6 +141,12 @@ class TestAlphaExact:
         with pytest.raises(BadParamsError):
             alpha_exact(space, map_, 1)
 
+    def test_matches_per_point_ratios(self):
+        instances = [random_instance(seed, 8) for seed in range(10)]
+        for space, map_ in instances + [five_swap(), banach_chain()]:
+            for n in range(1, 9):
+                assert alpha_exact(space, map_, n) == reference_exact(space, map_, n), n
+
     def test_contraction_bound_holds_pointwise(self):
         # verdict Contraction(alpha) means numer <= alpha * denom exactly
         for seed in range(60):
@@ -214,6 +222,16 @@ class TestAlphaSampled:
         with pytest.raises(BadParamsError):
             alpha_sampled(space, map_, 1)
 
+    def test_index_cap_above_the_limit_refused_before_sampling(self, two_phase, monkeypatch):
+        # memory grows with the square of the cap, so a cap past the limit is
+        # refused even where the space holds the indices it would sample
+        space, map_ = two_phase
+        assert MAX_INDEX_CAP + 2 <= space.max_index
+        monkeypatch.setattr(ShiftMap, "power", None)  # any sample would fail
+        refusal = f"between 1 and {MAX_INDEX_CAP}, got {MAX_INDEX_CAP + 1}"
+        with pytest.raises(BadParamsError, match=refusal):
+            alpha_sampled(space, map_, 1, index_cap=MAX_INDEX_CAP + 1)
+
     def test_index_cap_within_the_space(self):
         # the samples reach x_{cap + 2n}: at order 2 a cap of 26 fits a space
         # capped at index 30, and 27 is refused up front, naming x31
@@ -223,6 +241,12 @@ class TestAlphaSampled:
         for cap, needed in [(27, "x31"), (29, "x33"), (31, "x35")]:
             with pytest.raises(BadParamsError, match=f"needs {needed}, past max_index 30"):
                 alpha_sampled(space, map_, 2, index_cap=cap)
+
+
+def reference_exact(space, map_, n):
+    """The exact report from one independent ``ratio`` per point."""
+    samples = [ratio(space, map_, n, x) for x in space.points()]
+    return _report_from_samples(n, samples, exact=True)
 
 
 def reference_sampled(space, map_, n, cap):
@@ -301,12 +325,13 @@ class TestSampledReadsEachStepOnce:
         space, map_ = family()
         assert alpha_sampled(space, map_, n, 3000) == reference_sampled(space, map_, n, 3000)
 
-    @pytest.mark.parametrize("family", [two_phase, four_phase])
+    @pytest.mark.parametrize("family", [two_phase, four_phase, five_swap, banach_chain])
     def test_each_step_once(self, family, monkeypatch):
-        # T^n read by power and a distance taken once per step: at a, b,
-        # x_1 .. x_cap and x_{n+1} .. x_{n+cap}, which overlap when cap >= n;
-        # the shift is never applied one step at a time
-        counts = {"apply": 0, "power": 0, "distance": 0}
+        # T^n read by power and a distance taken once per step, never by
+        # apply, iterate or ratio: exactly at each of the |X| points; sampled at a, b,
+        # x_1 .. x_cap and x_{n+1} .. x_{n+cap}, which overlap when cap >= n
+        space, map_ = family()
+        counts = dict.fromkeys(["apply", "power", "distance", "iterate", "ratio"], 0)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -314,15 +339,24 @@ class TestSampledReadsEachStepOnce:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(ShiftMap, "apply", counted("apply", ShiftMap.apply))
-        monkeypatch.setattr(ShiftMap, "power", counted("power", ShiftMap.power))
-        monkeypatch.setattr(SequenceSpace, "distance", counted("distance", SequenceSpace.distance))
-        space, map_ = family()
-        for n, cap in [(1, 1), (1, 200), (2, 1), (2, 29), (4, 2000), (5, 3), (8, 64)]:
-            counts.update(apply=0, power=0, distance=0)
-            alpha_sampled(space, map_, n, cap)
-            steps = cap + min(cap, n) + 2
-            assert counts == {"apply": 0, "power": steps, "distance": steps}, (n, cap)
+        monkeypatch.setattr(type(map_), "apply", counted("apply", type(map_).apply))
+        monkeypatch.setattr(type(map_), "power", counted("power", type(map_).power))
+        monkeypatch.setattr(type(space), "distance", counted("distance", type(space).distance))
+        monkeypatch.setattr(analysis, "iterate", counted("iterate", analysis.iterate))
+        monkeypatch.setattr(analysis, "ratio", counted("ratio", analysis.ratio))
+        if isinstance(space, FiniteSpace):
+            runs = [(n, None, space.size) for n in range(1, 9)]
+        else:
+            runs = [(n, cap, cap + min(cap, n) + 2)
+                    for n, cap in [(1, 1), (1, 200), (2, 1), (2, 29), (4, 2000), (5, 3), (8, 64)]]
+        for n, cap, steps in runs:
+            counts.update(dict.fromkeys(counts, 0))
+            if cap is None:
+                alpha_exact(space, map_, n)
+            else:
+                alpha_sampled(space, map_, n, cap)
+            expected = {"apply": 0, "power": steps, "distance": steps, "iterate": 0, "ratio": 0}
+            assert counts == expected, (n, cap)
 
 
 class TestRatioLimitProbe:

@@ -99,6 +99,23 @@ class TestRunGallery:
         report = run_gallery(case_id, a=-3.5, b=0.25)
         assert report.passed, [c for c in report.checks if not c.ok]
 
+    @pytest.mark.parametrize(
+        "case_id, b, failing",
+        [
+            ("example_2_3", 1e-8, "solve_order2_from_x1"),
+            ("example_2_4", 1e-9, "solve_order4_from_x1"),
+            ("example_2_3", 1e-7, None),
+            ("example_2_4", 1e-7, None),
+        ],
+    )
+    def test_anchors_closer_than_the_cluster_tolerance(self, case_id, b, failing):
+        # the solver clusters a 2-cycle narrower than 1e-7 into one point and
+        # reports it as fixed; every other check still holds
+        report = run_gallery(case_id, a=0.0, b=b)
+        assert [c.name for c in report.checks if not c.ok] == ([failing] if failing else [])
+        if failing:
+            assert "period 1, case B" in next(c.detail for c in report.checks if not c.ok)
+
     def test_report_details_are_informative(self):
         report = run_gallery("example_2_3")
         by_name = {c.name: c for c in report.checks}

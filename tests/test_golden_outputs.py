@@ -1,0 +1,99 @@
+"""Golden CLI outputs: the gallery and ``analyze`` print what they printed.
+
+``golden_outputs.json`` holds the exit code and stdout of an in-process
+``cli.main`` call for each run in ``RUNS``; every run must reproduce both
+byte for byte. Regenerate the file, only when an output is meant to
+change, with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --write
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from graphcon import random_instance
+from graphcon.cli import main
+from graphcon.gallery import GALLERY_IDS
+
+from builders import five_swap
+
+DATA = Path(__file__).with_name("golden_outputs.json")
+
+
+def _finite_doc(space, map_):
+    labels = list(space.labels)
+    return {
+        "kind": "finite",
+        "points": labels,
+        "distance": [[str(space.distance(i, j)) for j in space.points()] for i in space.points()],
+        "map": {labels[x]: labels[map_.apply(x)] for x in space.points()},
+    }
+
+
+def _runs():
+    """(key, argv, instance document or None) for every golden run; the
+    instance is written to a file whose path ends the argv."""
+    runs = []
+    for case_id in GALLERY_IDS:
+        for a, b in [(0.0, 1.0), (-2.5, 3.25)]:
+            argv = ["gallery", "--id", case_id, f"--a={a}", f"--b={b}"]
+            runs.append((f"gallery {case_id} a={a} b={b}", argv, None))
+    for family in ("example_2_3", "example_2_4"):
+        doc = {"kind": "gallery", "id": family, "params": {"a": 0, "b": 1}}
+        for n in range(1, 5):
+            argv = ["analyze", "--order", str(n), "--index-cap", "20", "--emit-samples"]
+            runs.append((f"analyze {family} order {n} cap 20", argv, doc))
+    doc = _finite_doc(*five_swap())
+    for n in range(1, 7):
+        argv = ["analyze", "--order", str(n), "--emit-samples"]
+        runs.append((f"analyze five_swap order {n}", argv, doc))
+    for seed in range(5):
+        doc = _finite_doc(*random_instance(seed, 8))
+        for n in range(1, 5):
+            argv = ["analyze", "--order", str(n), "--emit-samples"]
+            runs.append((f"analyze random_instance({seed}, 8) order {n}", argv, doc))
+    return runs
+
+
+RUNS = _runs()
+
+
+def _run(argv, doc, directory):
+    """Exit code and stdout of ``cli.main(argv)``, given the instance file."""
+    if doc is not None:
+        path = Path(directory) / "instance.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--input", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text())
+
+
+def test_every_run_has_a_golden_output(golden):
+    assert sorted(golden) == sorted(key for key, _, _ in RUNS)
+
+
+@pytest.mark.parametrize("key, argv, doc", RUNS, ids=[key for key, _, _ in RUNS])
+def test_output_unchanged(golden, tmp_path, key, argv, doc):
+    assert _run(argv, doc, tmp_path) == golden[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {key: _run(argv, doc, tmp) for key, argv, doc in RUNS}
+    DATA.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(outputs)} outputs to {DATA}")

@@ -19,6 +19,7 @@ from graphcon import (
     load_instance,
     point_json,
 )
+from graphcon.analysis import MAX_INDEX_CAP
 from graphcon.cli import main
 
 from builders import five_swap
@@ -379,8 +380,10 @@ class TestCliBadInput:
             (TWO_PHASE_DOC, ["oracle", "--order", "2"]),
             (FIVE_SWAP_DOC, ["solve", "--order", "6", "--start", "x1", "--tol", "nan"]),
             (FIVE_SWAP_DOC, ["oracle", "--order", "0"]),
+            (TWO_PHASE_DOC, ["analyze", "--order", "1", "--index-cap", str(MAX_INDEX_CAP + 1)]),
         ],
-        ids=["order-0", "index-cap-0", "tol-0", "oracle-sequence", "tol-nan", "oracle-order-0"],
+        ids=["order-0", "index-cap-0", "tol-0", "oracle-sequence", "tol-nan", "oracle-order-0",
+             "index-cap-above-limit"],
     )
     def test_out_of_range_option(self, tmp_path, capsys, doc_in, argv):
         path = write_doc(tmp_path, doc_in)

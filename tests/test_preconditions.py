@@ -69,6 +69,7 @@ CALLS = {
     "ratio-order-float": lambda: ratio(*five_swap(), 1.5, 0),
     "ratio-order-bool": lambda: ratio(*five_swap(), True, 0),
     "alpha_exact-sequence": lambda: alpha_exact(*two_phase(), 1),
+    "alpha_exact-order-0": lambda: alpha_exact(*five_swap(), 0),
     "alpha_sampled-finite": lambda: alpha_sampled(*five_swap(), 1),
     "alpha_sampled-index-cap-0": lambda: alpha_sampled(*two_phase(), 1, index_cap=0),
     "iterate-negative": lambda: iterate(five_swap()[1], 0, -1),
