@@ -6,7 +6,7 @@ each check function runs one claim through the engines and returns
 ``(name, ok, detail)``. ``run_gallery`` runs the table and returns a
 structured pass/fail report. The checks hold for anchors with b - a >= 1e-7.
 Closer anchors lie within the solver's cluster tolerance of each other, so
-``solve`` reports their 2-cycle as a fixed point (case B, period 1).
+``solve`` refuses their 2-cycle with ToleranceAmbiguityError.
 
 Case ids (wire format):
 

@@ -144,7 +144,7 @@ class SubsequenceState:
     """Progress record of one residue subsequence (residue is 1-based)."""
 
     residue: int
-    terms: list  # empty for a strand read off a cycle
+    terms: int  # terms walked, the seed included; 0 for a strand read off a cycle
     last_step: object  # the exact distance between the last two terms
     gamma_hat: Optional[float]  # None for a strand read off a cycle
     limit: Optional[PointRef]
@@ -167,14 +167,15 @@ def advance_subsequences(
     otherwise cycles under T^n: NotConvergedError names the first strand
     that would revisit a term. An orbit that never repeats is walked one
     application of T at a time, and x_j extends strand j mod n, until every
-    strand's stopping rule has fired. Sharing the horizon keeps all final
-    terms on one orbit prefix, so applying T to the i-th final term lands
-    exactly on the (i+1)-th (and the n-th wraps to one step past the
-    first), which is what the solver's consistency checks rely on. Raises
-    NotConvergedError if some strand has not converged after ``max_outer``
-    terms, or if the orbit leaves the space first (an InvalidPointError
-    from the map or the space). An order above ``MAX_ORDER`` is refused
-    before anything of size n is built.
+    strand's stopping rule has fired, keeping only the last n terms and a
+    count per strand: x_j's step is its distance to x_{j-n}. Sharing the
+    horizon keeps all final terms on one orbit prefix, so applying T to the
+    i-th final term lands exactly on the (i+1)-th (and the n-th wraps to one
+    step past the first), which is what the solver's consistency checks
+    rely on. Raises NotConvergedError if some strand has not converged after
+    ``max_outer`` terms, or if the orbit leaves the space first (an
+    InvalidPointError from the map or the space). An order above
+    ``MAX_ORDER`` is refused before anything of size n is built.
     """
     require_int("order", n, 1, MAX_ORDER)
     require_int("max_outer", max_outer, 2)
@@ -190,26 +191,27 @@ def advance_subsequences(
                 f"the orbit of T^{n} enters a cycle of length {length // math.gcd(n, length)}",
             )
         return [
-            SubsequenceState(i + 1, [], 0, None, cycle[(entry + i - t) % length])
+            SubsequenceState(i + 1, 0, 0, None, cycle[(entry + i - t) % length])
             for i in range(n)
         ]
-    orbit = [start]  # rho has checked it
+    window = deque([start], maxlen=n)  # the last n orbit terms; rho has checked start
     stoppers = [TailBoundStopper(tol) for _ in range(n)]
     pending = set(range(n))
     try:
         for _ in range(n - 1):
-            orbit.append(map_.apply(orbit[-1]))
+            window.append(map_.apply(window[-1]))
         for _ in range(max_outer - 1):
             for i in range(n):
-                nxt = map_.apply(orbit[-1])
-                if stoppers[i].observe(space.distance(orbit[-n], nxt)):
+                nxt = map_.apply(window[-1])
+                if stoppers[i].observe(space.distance(window[0], nxt)):
                     pending.discard(i)
-                orbit.append(nxt)
+                window.append(nxt)
             if not pending:
                 break
     except InvalidPointError:  # the orbit left the space
-        i = len(orbit) % n
-        raise _left_space(i + 1, stoppers[i].last, stoppers[i].gamma_hat, len(orbit)) from None
+        terms = len(window) + sum(st.count for st in stoppers)  # a step per term past the seeds
+        i = terms % n
+        raise _left_space(i + 1, stoppers[i].last, stoppers[i].gamma_hat, terms) from None
     if pending:
         st = stoppers[min(pending)]
         reason = (
@@ -220,12 +222,12 @@ def advance_subsequences(
     return [
         SubsequenceState(
             residue=i + 1,
-            terms=orbit[i::n],
-            last_step=stoppers[i].last,
-            gamma_hat=stoppers[i].gamma_hat,
-            limit=orbit[i - n],
+            terms=st.count + 1,
+            last_step=st.last,
+            gamma_hat=st.gamma_hat,
+            limit=window[i],
         )
-        for i in range(n)
+        for i, st in enumerate(stoppers)
     ]
 
 
@@ -340,8 +342,9 @@ def solve(
 
     The limits are clustered within ``1000 * tol`` (``DEFAULT_CLUSTER_TOL``
     at the default), then verified: consecutive limits must chain under T,
-    the representative must return to itself after p steps, and no proper
-    divisor below p may already bring it back. The verification steps T
+    the representative must return to itself after p steps, within
+    ``2 * tol`` or else ToleranceAmbiguityError, and no proper divisor
+    below p may already bring it back. The verification steps T
     with ``map_.apply`` alone, so it relies on neither ``power`` nor
     ``rho``, the fast paths that produced the limits. Every image under T
     is checked as a point of ``space`` before it is compared, so that
@@ -361,7 +364,7 @@ def solve(
         try:
             image = map_.apply(limits[i])
         except InvalidPointError:  # the strands settled on the space's last terms
-            terms = sum(len(s.terms) for s in states)
+            terms = sum(s.terms for s in states)
             raise _left_space(i + 1, st.last_step, st.gamma_hat, terms) from None
         following = limits[(i + 1) % n]
         space.check_point(image)  # True == 1 but is no point
@@ -380,6 +383,11 @@ def solve(
             f"representative fails to return after {period} steps "
             f"(residual {float(residual)})"
         )
+    if residual > 2 * tol:  # two strands with one limit end within 2 * tol
+        raise ToleranceAmbiguityError(
+            f"representative returns after {period} steps only within "
+            f"{float(residual)}, more than 2 * tol; tol {tol} cannot tell the limits apart"
+        )
     for q in divisors(n):
         if q >= period:
             break
@@ -397,5 +405,5 @@ def solve(
         representative=representative,
         residual=float(residual),
         cycle=tuple(limits[:period]),
-        iterations_used=max(sum(len(st.terms) for st in states) - 1, 0),
+        iterations_used=max(sum(st.terms for st in states) - 1, 0),
     )

@@ -109,12 +109,14 @@ class TestRunGallery:
         ],
     )
     def test_anchors_closer_than_the_cluster_tolerance(self, case_id, b, failing):
-        # the solver clusters a 2-cycle narrower than 1e-7 into one point and
-        # reports it as fixed; every other check still holds
+        # the solver clusters a 2-cycle narrower than 1e-7 into one point,
+        # finds its limits more than 2 * tol apart and refuses the solve;
+        # every other check still holds
         report = run_gallery(case_id, a=0.0, b=b)
         assert [c.name for c in report.checks if not c.ok] == ([failing] if failing else [])
         if failing:
-            assert "period 1, case B" in next(c.detail for c in report.checks if not c.ok)
+            detail = next(c.detail for c in report.checks if not c.ok)
+            assert detail.startswith("solver raised ToleranceAmbiguityError")
 
     def test_report_details_are_informative(self):
         report = run_gallery("example_2_3")

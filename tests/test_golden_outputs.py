@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the gallery and ``analyze`` print what they printed.
+"""Golden CLI outputs: every command prints what it printed.
 
 ``golden_outputs.json`` holds the exit code and stdout of an in-process
 ``cli.main`` call for each run in ``RUNS``; every run must reproduce both
@@ -49,15 +49,37 @@ def _runs():
         for n in range(1, 5):
             argv = ["analyze", "--order", str(n), "--index-cap", "20", "--emit-samples"]
             runs.append((f"analyze {family} order {n} cap 20", argv, doc))
+        for a, b in [(0, 1), (-2.5, 3.25)]:
+            doc = {"kind": "gallery", "id": family, "params": {"a": a, "b": b}}
+            for n in range(1, 5):
+                for start in ("a", "x1", "x2"):
+                    argv = ["solve", "--order", str(n), "--start", start, "--max-outer", "300"]
+                    runs.append((f"solve {family} a={a} b={b} order {n} from {start}", argv, doc))
     doc = _finite_doc(*five_swap())
     for n in range(1, 7):
         argv = ["analyze", "--order", str(n), "--emit-samples"]
         runs.append((f"analyze five_swap order {n}", argv, doc))
+        for start in ("x1", "x3"):
+            argv = ["solve", "--order", str(n), "--start", start]
+            runs.append((f"solve five_swap order {n} from {start}", argv, doc))
+        runs.append((f"oracle five_swap order {n}", ["oracle", "--order", str(n)], doc))
+        argv = ["oracle", "--order", str(n), "--full-scan"]
+        runs.append((f"oracle five_swap order {n} full scan", argv, doc))
+    for n in (2, 6):
+        for start in ("x1", "x3"):
+            argv = ["crosscheck", "--order", str(n), "--start", start]
+            runs.append((f"crosscheck five_swap order {n} from {start}", argv, doc))
     for seed in range(5):
         doc = _finite_doc(*random_instance(seed, 8))
         for n in range(1, 5):
             argv = ["analyze", "--order", str(n), "--emit-samples"]
             runs.append((f"analyze random_instance({seed}, 8) order {n}", argv, doc))
+            argv = ["solve", "--order", str(n), "--start", "x1"]
+            runs.append((f"solve random_instance({seed}, 8) order {n} from x1", argv, doc))
+            argv = ["oracle", "--order", str(n)]
+            runs.append((f"oracle random_instance({seed}, 8) order {n}", argv, doc))
+            argv = ["crosscheck", "--order", str(n), "--start", "x1"]
+            runs.append((f"crosscheck random_instance({seed}, 8) order {n} from x1", argv, doc))
     return runs
 
 

@@ -1,5 +1,6 @@
 """Tail bound, subsequence advancement, limit classification, solve."""
 
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -172,15 +173,32 @@ class TestAdvanceSubsequences:
     def test_strands_share_horizon(self, four_phase):
         space, map_ = four_phase
         states = advance_subsequences(space, map_, 4, space.x(1))
-        lengths = {len(st_.terms) for st_ in states}
-        assert len(lengths) == 1
+        counts = {st_.terms for st_ in states}
+        assert len(counts) == 1
 
-    def test_terms_advance_by_order(self, two_phase):
+    def test_limits_lie_on_the_orbit(self, two_phase):
+        # strand i walks T^i start, T^(n+i) start, ...: its limit is its
+        # last term, T^(n(terms-1)+i) start
         space, map_ = two_phase
-        states = advance_subsequences(space, map_, 2, space.x(1))
-        for st_ in states:
-            for k in range(len(st_.terms) - 1):
-                assert st_.terms[k + 1] == iterate(map_, st_.terms[k], 2)
+        start = space.x(1)
+        for n in (2, 4):
+            states = advance_subsequences(space, map_, n, start)
+            for i, st_ in enumerate(states):
+                assert st_.terms > 1
+                assert st_.limit == iterate(map_, start, n * (st_.terms - 1) + i)
+
+    def test_walk_memory_does_not_grow_with_its_length(self, two_phase):
+        # order 3 never contracts, so the walk runs its whole budget of
+        # 4000 terms per strand; it keeps an n-term window, not the orbit
+        space, map_ = two_phase
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotConvergedError):
+                advance_subsequences(space, map_, 3, space.x(1), max_outer=4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
     def test_not_converged_on_cycle_mismatch(self, four_cycle):
         space, map_ = four_cycle
@@ -233,7 +251,7 @@ def reference_advance(space, map_, n, start, max_outer, tol=DEFAULT_TOL):
         )
         raise NotConvergedError(min(pending) + 1, st_.last, st_.gamma_hat, reason)
     return [
-        SubsequenceState(i + 1, t, last[i], stop.gamma_hat, t[-1])
+        SubsequenceState(i + 1, len(t), last[i], stop.gamma_hat, t[-1])
         for i, (t, stop) in enumerate(zip(terms, stoppers))
     ]
 
@@ -399,6 +417,18 @@ class TestSolve:
             solve(space, ShiftMap(space), 1, space.x(1), max_outer=100)
         with pytest.raises(NotConvergedError, match="leaves the space after 30 terms"):
             solve(space, ShiftMap(space), 40, space.x(1))
+
+    @pytest.mark.parametrize("family", list(SequenceFamily))
+    @pytest.mark.parametrize("n", [*range(1, 9), 29, 30, 31, 40])
+    def test_leave_space_count_and_residue(self, family, n):
+        # from x_s the orbit holds the 31 - s terms x_s ... x30; the strand
+        # of the term that would come next reports it
+        space = SequenceSpace(family, 0.0, 1.0, max_index=30)
+        for s in (1, 7, 30):
+            with pytest.raises(NotConvergedError) as err:
+                solve(space, ShiftMap(space), n, space.x(s), max_outer=100)
+            assert f"the orbit leaves the space after {31 - s} terms" in str(err.value)
+            assert err.value.residue == (31 - s) % n + 1
 
     def test_strands_settled_on_the_last_terms(self):
         # from x1 at order 2 the strands settle on x35 and x36; verifying
@@ -597,10 +627,12 @@ class TestSolve:
 
     def test_cluster_tolerance_follows_tol(self):
         # the anchors lie 1e-8 apart: the default cluster tolerance 1e-7
-        # merges their 2-cycle, and 1000 * tol = 1e-10 keeps it apart
+        # merges their 2-cycle, but its limits lie more than 2 * tol apart,
+        # so the solve is refused; 1000 * tol = 1e-10 keeps the cycle apart
         space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1e-8)
         shift = ShiftMap(space)
-        assert solve(space, shift, 2, space.x(1)).period == 1
+        with pytest.raises(ToleranceAmbiguityError, match=r"more than 2 \* tol"):
+            solve(space, shift, 2, space.x(1))
         sol = solve(space, shift, 2, space.x(1), tol=1e-13)
         assert (sol.period, sol.case) == (2, LimitCase.A_ALL_DISTINCT)
 
@@ -720,6 +752,11 @@ def reference_solve(space, map_, n, start, tol=DEFAULT_TOL):
             f"representative fails to return after {period} steps "
             f"(residual {float(residual)})"
         )
+    if residual > 2 * tol:
+        raise ToleranceAmbiguityError(
+            f"representative returns after {period} steps only within "
+            f"{float(residual)}, more than 2 * tol; tol {tol} cannot tell the limits apart"
+        )
     for q in divisors(n):
         if q >= period:
             break
@@ -736,7 +773,7 @@ def reference_solve(space, map_, n, start, tol=DEFAULT_TOL):
         representative=representative,
         residual=float(residual),
         cycle=tuple(limits[:period]),
-        iterations_used=max(sum(len(st_.terms) for st_ in states) - 1, 0),
+        iterations_used=max(sum(st_.terms for st_ in states) - 1, 0),
     )
 
 
@@ -771,6 +808,17 @@ class TestIdentityComparisonMatchesReference:
                 got = _solution_or_error(solve, space, shift, n, start)
                 assert got == _solution_or_error(reference_solve, space, shift, n, start)
                 assert isinstance(got, PeriodicSolution), (n, start)
+
+    @pytest.mark.parametrize("family, n, b", [
+        (builders.two_phase, 2, 1e-8), (builders.four_phase, 4, 1e-9),
+    ])
+    def test_cycle_inside_the_cluster_tolerance_refused(self, family, n, b):
+        # the anchors' 2-cycle lies inside the cluster tolerance, but its
+        # limits lie more than 2 * tol apart: refused, not period 1
+        space, shift = family(0.0, b)
+        got = _solution_or_error(solve, space, shift, n, space.x(1))
+        assert got == _solution_or_error(reference_solve, space, shift, n, space.x(1))
+        assert got[0] is ToleranceAmbiguityError
 
     def test_wrap_around_gap_message(self, two_phase):
         space, shift = two_phase
