@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import add, ge, getitem, gt, mul
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BadParamsError, ConsistencyViolationError, require_int, require_kind
 from .maps import MapModel, iterate
@@ -49,8 +49,7 @@ INCONCLUSIVE_MARGIN = 1e-3
 MAX_INDEX_CAP = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class RatioSample:
+class RatioSample(NamedTuple):
     """One evaluation of the order-n ratio at a point.
 
     ``value`` is None exactly when the point is trivially satisfied

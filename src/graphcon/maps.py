@@ -40,6 +40,7 @@ class TableMap:
     _rho: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))  # the caller's list may change
         if len(self.images) != self.space.size:
             raise BadParamsError(
                 f"map table has {len(self.images)} images for "
@@ -105,12 +106,10 @@ class ShiftMap:
     space: SequenceSpace
 
     def apply(self, p: SeqPoint) -> SeqPoint:
-        role, n = self.space.check_point(p)
-        if role == "a":
-            return self.space.b_point
-        if role == "b":
-            return self.space.a_point
-        return self.space.x(n + 1)
+        below_a, base, _ = self.space._place(p)  # an anchor has base 0
+        if base:
+            return self.space.x(p.n + 1)
+        return self.space.b_point if below_a else self.space.a_point
 
     def rho(self, p: SeqPoint) -> tuple | None:
         """The anchors' 2-cycle (a, b) entered at once; None for every x_m."""
@@ -123,10 +122,10 @@ class ShiftMap:
         """T^k p in closed form: x_m -> x_{m+k}, and an anchor stays put
         for even k and becomes the other anchor for odd k."""
         require_int("iteration count", k, 0)
-        role, m = self.space.check_point(p)
-        if role == "x":
-            return self.space.x(m + k)
-        return p if k % 2 == 0 else SeqPoint("b" if role == "a" else "a", 0)
+        below_a, base, _ = self.space._place(p)
+        if base:
+            return self.space.x(p.n + k)
+        return p if k % 2 == 0 else SeqPoint("b" if below_a else "a", 0)
 
 
 MapModel = Union[TableMap, ShiftMap]

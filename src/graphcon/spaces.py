@@ -238,6 +238,7 @@ class FiniteSpace:
     _memo: dict = field(init=False, repr=False, compare=False)  # x * size + y -> Fraction
 
     def __init__(self, labels: tuple, dist: tuple):
+        labels = tuple(labels)  # a copy: the caller's list may change later
         if len(labels) != len(dist):
             raise NonSquareError(f"{len(labels)} labels but {len(dist)} rows", ())
         if not labels:
@@ -253,7 +254,7 @@ class FiniteSpace:
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: Iterable[Iterable]) -> "FiniteSpace":
         """Build a space from any nested iterable of rational-like entries."""
-        return cls(tuple(labels), tuple(map(tuple, rows)))
+        return cls(labels, tuple(map(tuple, rows)))
 
     @property
     def dist(self) -> tuple:
@@ -386,46 +387,51 @@ class SequenceSpace:
 
     def _place(self, p) -> tuple:
         """Locate p as (below_a, base, k): p = a - base^-k if below_a, else
-        b + base^-k; an anchor is (below_a, 0, 0), with no offset. Anything
-        that is not a point of this space raises ``InvalidPointError``."""
+        b + base^-k; an anchor is (below_a, 0, 0), with no offset. One pass,
+        family points first: what is no point of this space raises ``InvalidPointError``."""
         if type(p) is not SeqPoint:
             raise InvalidPointError(f"{p!r} is not a point of a sequence space")
         role, n = p
-        if role not in ("x", "a", "b"):
-            raise InvalidPointError(f"unknown point role {role!r}")
-        low, high = (1, self.max_index) if role == "x" else (0, 0)
-        if type(n) is not int or not low <= n <= high:
-            raise InvalidPointError(f"{p!r} has index {n!r}, outside {low}..{high}")
-        if not n:
+        if role == "x":
+            if type(n) is not int or not 1 <= n <= self.max_index:
+                raise InvalidPointError(f"{p!r} has index {n!r}, outside 1..{self.max_index}")
+            if self.family == "example_2_3":  # by id: a member looked up on the class is slow
+                return n & 1 == 1, 2, n
+            return n & 1 == 1, 2 if n & 3 in (1, 2) else 3, (n + 3) >> 2
+        if role == "a" or role == "b":
+            if type(n) is not int or n:
+                raise InvalidPointError(f"{p!r} has index {n!r}, outside 0..0")
             return role == "a", 0, 0
-        if self.family == "example_2_3":  # by id: a member looked up on the class is slow
-            return n % 2 == 1, 2, n
-        return n % 2 == 1, 2 if n % 4 in (1, 2) else 3, (n + 3) // 4
+        raise InvalidPointError(f"unknown point role {role!r}")
 
     def distance(self, x, y) -> Fraction:
         """Exact absolute coordinate difference, from the generating offsets.
 
         Points on one side are their offsets' difference apart, points on
         opposite sides the gap b - a plus both offsets. Two offsets of one
-        base combine in closed form, |b^-i -+ b^-j| = (b^d -+ 1) / b^hi with
-        d = |i - j| and hi = max(i, j), whose gcd with b^hi is cheap. Offsets
-        of bases 2 and 3 are left to ``Fraction``'s own sum or difference:
-        one fraction over 2^i 3^j would pay a full big-integer gcd.
+        base combine in closed form, |b^-i -+ b^-j| = (b^(i-j) -+ 1) / b^i
+        with i >= j, whose gcd with b^i is cheap. Offsets of bases 2 and 3
+        are left to ``Fraction``'s own sum or difference: one fraction over
+        2^i 3^j would pay a full big-integer gcd.
         """
-        below_x, base_x, i = self._place(x)
+        below_x, base, i = self._place(x)
         below_y, base_y, j = self._place(y)
         apart = below_x != below_y
-        if i and j:
-            if base_x == base_y:
-                sign = 1 if apart else -1
-                off = Fraction(_power(base_x, abs(i - j)) + sign, _power(base_x, max(i, j)))
+        if i < j:  # i >= j from here on
+            i, j, base, base_y = j, i, base_y, base
+        if j and base == base_y:
+            if base == 2:
+                lo, hi = 1 << i - j, 1 << i
             else:
-                u, v = Fraction(1, _power(base_x, i)), Fraction(1, _power(base_y, j))
-                off = u + v if apart else abs(u - v)
-        elif i or j:  # an anchor, at offset 0, and a family point
-            off = Fraction(1, _power(max(base_x, base_y), i + j))
+                lo, hi = 3 ** (i - j), 3**i
+            off = Fraction(lo + 1 if apart else lo - 1, hi)
+        elif j:
+            u, v = Fraction(1, _power(base, i)), Fraction(1, _power(base_y, j))
+            off = u + v if apart else abs(u - v)
+        elif i:  # an anchor, at offset 0, and a family point
+            off = Fraction(1, _power(base, i))
         else:
-            off = Fraction(0)
+            return self.gap if apart else Fraction(0)
         return self.gap + off if apart else off
 
     def coord(self, p) -> float:

@@ -13,6 +13,7 @@ from graphcon import (
     ContractionClass,
     FiniteSpace,
     RatioSample,
+    SeqPoint,
     SequenceFamily,
     SequenceSpace,
     ShiftMap,
@@ -40,6 +41,37 @@ def exact_two_phase_ratio(n, idx):
     numer = abs(coord(idx + 2 * n) - coord(idx + n))
     denom = abs(coord(idx + n) - coord(idx))
     return numer / denom
+
+
+class TestRatioSampleInterface:
+    def test_fields_numer_and_trivial(self):
+        sample = RatioSample(SeqPoint("x", 3), 2, Fraction(3, 8), Fraction(1, 3))
+        assert RatioSample.__match_args__ == ("point", "order", "denom", "value")
+        assert sample == RatioSample(
+            point=SeqPoint("x", 3), order=2, denom=Fraction(3, 8), value=Fraction(1, 3))
+        assert (sample.point, sample.order, sample.denom, sample.value) == (
+            SeqPoint("x", 3), 2, Fraction(3, 8), Fraction(1, 3))
+        assert sample.numer == Fraction(1, 8) and not sample.trivial
+        trivial = RatioSample(SeqPoint("a", 0), 1, Fraction(0), None)
+        assert trivial.numer == 0 and trivial.trivial
+
+    def test_immutable_equal_and_hashable(self):
+        sample = RatioSample(4, 1, Fraction(1, 2), Fraction(5, 7))
+        for name in ("point", "order", "denom", "value"):
+            with pytest.raises(AttributeError):
+                setattr(sample, name, None)
+        twin = RatioSample(4, 1, Fraction(1, 2), Fraction(5, 7))
+        assert twin == sample and twin is not sample and hash(twin) == hash(sample)
+        assert RatioSample(4, 1, Fraction(1, 2), None) != sample
+
+    def test_repr(self):
+        assert repr(RatioSample(SeqPoint("x", 3), 2, Fraction(3, 8), Fraction(1, 3))) == (
+            "RatioSample(point=SeqPoint(x3), order=2, denom=Fraction(3, 8), "
+            "value=Fraction(1, 3))")
+        assert repr(RatioSample(SeqPoint("a", 0), 1, Fraction(0), None)) == (
+            "RatioSample(point=SeqPoint(a), order=1, denom=Fraction(0, 1), value=None)")
+        assert repr(RatioSample(4, 1, Fraction(1, 2), Fraction(5, 7))) == (
+            "RatioSample(point=4, order=1, denom=Fraction(1, 2), value=Fraction(5, 7))")
 
 
 class TestRatio:

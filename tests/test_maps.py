@@ -72,6 +72,15 @@ class TestApply:
         with pytest.raises(BadParamsError):  # nor is any other int subclass
             TableMap(space, (IntEnum("Corner", ["FAR"]).FAR, 0, 1))
 
+    def test_table_copied_from_the_callers_list(self):
+        space = unit_space(3)
+        images = [1, 0, 2]
+        map_ = TableMap(space, images)
+        images[:] = [2, 0, 7]  # a later edit of the list reaches no map
+        assert map_.images == (1, 0, 2)
+        assert map_.apply(0) == map_.power(0, 1) == 1 and map_.apply(2) == 2
+        assert hash(map_) == hash(TableMap(space, (1, 0, 2)))
+
     def test_invalid_point(self, five_swap):
         _, map_ = five_swap
         with pytest.raises(InvalidPointError):

@@ -552,6 +552,17 @@ class TestFiniteSpace:
         with pytest.raises(BadParamsError):
             FiniteSpace.from_rows([], [])
 
+    def test_labels_copied_from_the_callers_list(self):
+        labels = ["p", "q"]
+        space = FiniteSpace(labels, ((0, 1), (1, 0)))
+        labels.append("r")  # a later edit of the list reaches no space
+        assert space.labels == ("p", "q") and space.size == 2
+        with pytest.raises(InvalidPointError):
+            space.check_point(2)
+        with pytest.raises(InvalidPointError):
+            space.distance(0, 2)
+        assert hash(space) == hash(FiniteSpace(("p", "q"), ((0, 1), (1, 0))))
+
 
 class TestTwoPhasePoints:
     def test_first_coords(self):
@@ -695,6 +706,38 @@ class TestSequenceSpaceContract:
         for foreign, entry in product(foreign_points, entries):
             with pytest.raises(InvalidPointError):
                 entry(foreign)
+
+    # Each refusal's type and text, as every entry that checks a point prints
+    # it: the role is judged before the index, and the index range is the role's.
+    @pytest.mark.parametrize("foreign, text", [
+        (2, "2 is not a point of a sequence space"),
+        (("x", 2), "('x', 2) is not a point of a sequence space"),
+        (SeqPoint("y", 2), "unknown point role 'y'"),
+        (SeqPoint("a", 1), "SeqPoint(a) has index 1, outside 0..0"),
+        (SeqPoint("x", 11), "SeqPoint(x11) has index 11, outside 1..10"),
+        (type("SubPoint", (SeqPoint,), {})("x", 2),
+         "SeqPoint(x2) is not a point of a sequence space"),
+        (SeqPoint("x", True), "SeqPoint(xTrue) has index True, outside 1..10"),
+        (SeqPoint("x", 2.0), "SeqPoint(x2.0) has index 2.0, outside 1..10"),
+        (SeqPoint("a", 0.0), "SeqPoint(a) has index 0.0, outside 0..0"),
+        (SeqPoint("x", 0), "SeqPoint(x0) has index 0, outside 1..10"),
+        (SeqPoint("b", 1), "SeqPoint(b) has index 1, outside 0..0"),
+        (SeqPoint("x", -3), "SeqPoint(x-3) has index -3, outside 1..10"),
+        (SeqPoint(None, 0), "unknown point role None"),
+    ])
+    def test_foreign_point_refusal_messages(self, foreign, text):
+        space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=10)
+        shift, member = ShiftMap(space), space.x(2)
+        entries = (
+            space.check_point,
+            lambda p: space.distance(p, member),
+            shift.apply,
+            lambda p: shift.power(p, 3),
+        )
+        for entry in entries:
+            with pytest.raises(InvalidPointError) as info:
+                entry(foreign)
+            assert (type(info.value).__name__, str(info.value)) == ("InvalidPointError", text)
 
     def test_point_named(self):
         space, _ = two_phase()
