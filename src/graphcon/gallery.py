@@ -47,8 +47,6 @@ __all__ = [
     "run_gallery",
 ]
 
-GALLERY_IDS = ("example_2_2", "example_2_3", "example_2_4", "example_2_5")
-
 
 @dataclass(frozen=True)
 class ClassInstance:
@@ -235,6 +233,7 @@ CHECKS = {
         (_class_bound, ContractionClass.CHATTERJEA),
     ),
 }
+GALLERY_IDS = tuple(CHECKS)
 
 
 def run_gallery(case_id: str, a: float = 0.0, b: float = 1.0) -> GalleryReport:

@@ -227,15 +227,14 @@ class FiniteSpace:
     The metric is stored as one integer matrix over one denominator:
     ``d(i, j) = scaled[i][j] / den``, with ``den`` the least such. Ratios of
     distances do not depend on ``den``, so the finite-only engines compare
-    these integers. ``distance`` builds only the ``Fraction`` it is asked for
-    and keeps it, keyed by ``x * size + y``; ``dist``, the exact view as a
-    tuple of ``Fraction`` rows, is built on each call.
+    these integers. ``distance`` builds only the ``Fraction`` it is asked
+    for, and ``dist``, the exact view as a tuple of ``Fraction`` rows, is
+    built on each call; neither keeps it.
     """
 
     labels: tuple
     scaled: tuple
     den: int
-    _memo: dict = field(init=False, repr=False, compare=False)  # x * size + y -> Fraction
 
     def __init__(self, labels: tuple, dist: tuple):
         labels = tuple(labels)  # a copy: the caller's list may change later
@@ -249,7 +248,6 @@ class FiniteSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: Iterable[Iterable]) -> "FiniteSpace":
@@ -280,11 +278,7 @@ class FiniteSpace:
         return x
 
     def distance(self, x, y) -> Fraction:
-        key = self.check_point(x) * len(self.labels) + self.check_point(y)
-        exact = self._memo.get(key)
-        if exact is None:
-            exact = self._memo[key] = Fraction(self.scaled[x][y], self.den)
-        return exact
+        return Fraction(self.scaled[self.check_point(x)][self.check_point(y)], self.den)
 
 
 class SequenceFamily(str, Enum):
@@ -317,10 +311,10 @@ class SeqPoint(NamedTuple):
 
     @property
     def name(self) -> str:
-        return self.role if self.role in ("a", "b") else f"x{self.n}"
+        return self.role if self.role in ("a", "b") else f"{self.role}{self.n}"
 
     def __repr__(self) -> str:
-        return f"SeqPoint({self.name})"
+        return f"{type(self).__name__}({self.name})"
 
 
 @dataclass(frozen=True)

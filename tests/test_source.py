@@ -53,3 +53,19 @@ def test_engines_raise_only_typed_errors():
             if name in ("ValueError", "TypeError") and site not in allowed:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert SOURCES and not found
+
+
+def test_models_declare_no_mutable_container_fields():
+    # no caching layers: a field annotated dict, list or set could grow
+    # behind a frozen model, and every model must stay immutable
+    mutable = {"dict", "list", "set", "Dict", "List", "Set"}
+    found = [
+        f"{path.name}:{stmt.lineno} {cls.name}.{ast.unparse(stmt.target)}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and ast.unparse(stmt.annotation).strip("'\"").partition("[")[0] in mutable
+    ]
+    assert SOURCES and not found

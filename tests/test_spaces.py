@@ -716,7 +716,7 @@ class TestSequenceSpaceContract:
         (SeqPoint("a", 1), "SeqPoint(a) has index 1, outside 0..0"),
         (SeqPoint("x", 11), "SeqPoint(x11) has index 11, outside 1..10"),
         (type("SubPoint", (SeqPoint,), {})("x", 2),
-         "SeqPoint(x2) is not a point of a sequence space"),
+         "SubPoint(x2) is not a point of a sequence space"),
         (SeqPoint("x", True), "SeqPoint(xTrue) has index True, outside 1..10"),
         (SeqPoint("x", 2.0), "SeqPoint(x2.0) has index 2.0, outside 1..10"),
         (SeqPoint("a", 0.0), "SeqPoint(a) has index 0.0, outside 0..0"),
@@ -762,6 +762,9 @@ class TestSequenceSpaceContract:
             assert q == p and q is not p and hash(q) == hash(p)
             assert points[q] == p.name
         assert SeqPoint("x", 3) != SeqPoint("x", 4) and SeqPoint("a", 0) != SeqPoint("b", 0)
+        # a point of no space prints its role as given, never as a member's
+        assert repr(SeqPoint("y", 2)) == "SeqPoint(y2)"
+        assert repr(SeqPoint(None, 0)) == "SeqPoint(None0)"
 
     @given(
         st.integers(min_value=1, max_value=300),
