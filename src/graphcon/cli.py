@@ -150,25 +150,26 @@ def build_parser() -> argparse.ArgumentParser:
         "on metric-space instances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--input", required=True)
+    instance.add_argument("--order", type=int, required=True)
 
-    p = sub.add_parser("analyze", help="minimal contraction constant per order")
-    p.add_argument("--input", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p = sub.add_parser(
+        "analyze", parents=[instance], help="minimal contraction constant per order"
+    )
     p.add_argument("--index-cap", type=int, default=200)
     p.add_argument("--emit-samples", action="store_true")
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("solve", help="find a periodic point by iteration")
-    p.add_argument("--input", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p = sub.add_parser("solve", parents=[instance], help="find a periodic point by iteration")
     p.add_argument("--start", required=True)
     p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     p.add_argument("--max-outer", type=int, default=solver.DEFAULT_MAX_OUTER)
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="exhaustive periodic-point enumeration")
-    p.add_argument("--input", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p = sub.add_parser(
+        "oracle", parents=[instance], help="exhaustive periodic-point enumeration"
+    )
     p.add_argument("--full-scan", action="store_true")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -178,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0)
     p.set_defaults(fn=_cmd_gallery)
 
-    p = sub.add_parser("crosscheck", help="solver vs oracle on a finite instance")
-    p.add_argument("--input", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p = sub.add_parser(
+        "crosscheck", parents=[instance], help="solver vs oracle on a finite instance"
+    )
     p.add_argument("--start", required=True)
     p.set_defaults(fn=_cmd_crosscheck)
 

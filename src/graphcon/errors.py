@@ -65,10 +65,8 @@ class NotConvergedError(GraphconError):
     """
 
     def __init__(self, residue: int, last_step, gamma_hat, reason: str):
-        super().__init__(
-            f"subsequence {residue} did not converge "
-            f"(last step {_step_text(last_step)}, {reason})"
-        )
+        step = "no step taken" if last_step is None else f"last step {_step_text(last_step)}"
+        super().__init__(f"subsequence {residue} did not converge ({step}, {reason})")
         self.residue = residue
         self.last_step = last_step
         self.gamma_hat = gamma_hat
@@ -77,8 +75,6 @@ class NotConvergedError(GraphconError):
 def _step_text(step) -> str:
     """A step distance as a float, or as a power of two where the float
     would read 0 or overflow: a nonzero step never reads as 0."""
-    if step is None:
-        return "None"
     if not step or 2.0**-1000 < step < 2.0**1000:
         return str(float(step))
     num, den = step.as_integer_ratio()
@@ -88,10 +84,10 @@ def _step_text(step) -> str:
 class ToleranceAmbiguityError(GraphconError):
     """Limit clustering could not pick a period consistently.
 
-    Either no divisor-length cyclic shift matches the limits within the
-    cluster tolerance, or the chosen block still contains a pair closer
-    than that tolerance. Signals a tolerance (in ``solve``, ``tol``) too
-    coarse for the spacing of the limits, never a valid solver outcome.
+    The block that the shortest matching cyclic shift chose still contains
+    a pair closer than the cluster tolerance. Signals a tolerance (in
+    ``solve``, ``tol``) too coarse for the spacing of the limits, never a
+    valid solver outcome.
     """
 
 

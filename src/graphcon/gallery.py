@@ -184,7 +184,7 @@ def _solve(case, n, start, period, shape, limits=None):
 
 
 def _prime_period(case, point, period):
-    got = prime_period(case.map_, case.space.point_named(point), max_p=8)
+    got = prime_period(case.map_, case.space.point_named(point))
     return f"prime_period_{point}", got == period, f"prime period {got}, expected {period}"
 
 

@@ -141,14 +141,13 @@ def iterate(map_: MapModel, x: PointRef, k: int) -> PointRef:
     return map_.power(x, k)
 
 
-def prime_period(map_: MapModel, x: PointRef, max_p: int) -> int | None:
-    """Least p <= max_p with T^p x = x, or None if there is none.
+def prime_period(map_: MapModel, x: PointRef) -> int | None:
+    """Least p >= 1 with T^p x = x, or None if x never returns to itself.
 
-    Read off ``rho(x)``: x returns to itself exactly when it lies on its
-    cycle (tail 0), and then its prime period is the cycle's length.
+    Read off ``rho(x)`` in O(1): x returns to itself exactly when it lies
+    on its cycle (tail 0), and then its prime period is the cycle's length.
     """
-    require_int("max_p", max_p, 1)
     shape = map_.rho(x)
-    if shape is None or shape[0] > 0 or len(shape[1]) > max_p:
+    if shape is None or shape[0] > 0:
         return None
     return len(shape[1])

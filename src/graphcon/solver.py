@@ -232,7 +232,7 @@ def advance_subsequences(
 
 
 def _left_space(residue: int, last_step, gamma_hat, terms: int) -> NotConvergedError:
-    reason = f"the orbit leaves the space after {terms} terms"
+    reason = f"the orbit leaves the space after {terms} term{'' if terms == 1 else 's'}"
     return NotConvergedError(residue, last_step, gamma_hat, reason)
 
 
@@ -274,26 +274,21 @@ def classify_limits(
     """Match the limit list against cyclic shifts of divisor length.
 
     Returns ``(case, p)`` where p is the smallest divisor of n whose shift
-    maps the limit list onto itself within ``cluster_tol``. The first p
-    limits must then be pairwise separated by more than ``cluster_tol``;
-    any inconsistency raises ToleranceAmbiguityError. The limits are
-    checked as points of ``space`` first, then compared by identity before
-    any distance, and by identity alone at ``cluster_tol`` 0.
+    maps the limit list onto itself within ``cluster_tol``, and p = n
+    always does. The first p limits must then be pairwise separated by
+    more than ``cluster_tol``, or ToleranceAmbiguityError is raised. The
+    limits are checked as points of ``space`` first, then compared by
+    identity before any distance, and by identity alone at ``cluster_tol`` 0.
     """
     n = len(limits)
     require_int("number of limits", n, 1)
     require_tolerance("cluster_tol", cluster_tol, zero_ok=True)
     limits = [space.check_point(x) for x in limits]
-    period = None
-    for q in divisors(n):
-        if all(_within(space, limits[i], limits[(i + q) % n], cluster_tol) for i in range(n)):
-            period = q
-            break
-    if period is None:
-        raise ToleranceAmbiguityError(
-            f"no divisor of {n} shifts the limits onto themselves "
-            f"within {cluster_tol}"
-        )
+    # q = n matches: the shift by n maps each limit onto itself, and _within tests x == y first
+    period = next(
+        q for q in divisors(n)
+        if all(_within(space, limits[i], limits[(i + q) % n], cluster_tol) for i in range(n))
+    )
     for i in range(period):
         for j in range(i + 1, period):
             if _within(space, limits[i], limits[j], cluster_tol):

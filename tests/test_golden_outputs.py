@@ -55,6 +55,11 @@ def _runs():
                 for start in ("a", "x1", "x2"):
                     argv = ["solve", "--order", str(n), "--start", start, "--max-outer", "300"]
                     runs.append((f"solve {family} a={a} b={b} order {n} from {start}", argv, doc))
+    # orbits that leave the space (its last index is 10^6) before any step
+    doc = {"kind": "gallery", "id": "example_2_3", "params": {"a": 0, "b": 1}}
+    for n, start in [(2, "x999999"), (1, "x1000000")]:
+        argv = ["solve", "--order", str(n), "--start", start]
+        runs.append((f"solve example_2_3 a=0 b=1 order {n} from {start}", argv, doc))
     doc = _finite_doc(*five_swap())
     for n in range(1, 7):
         argv = ["analyze", "--order", str(n), "--emit-samples"]

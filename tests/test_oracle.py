@@ -179,6 +179,17 @@ class TestCrosscheck:
         cc = crosscheck(space, map_, 6, doctored)
         assert not cc.agree
 
+    def test_representative_off_every_cycle_disagrees(self):
+        # 0 -> 1 -> 2 -> 2: the solve lands on the fixed point 2, and 0 is
+        # on the tail, periodic for no order
+        space = unit_space(3)
+        map_ = TableMap(space, (1, 2, 2))
+        sol = solve(space, map_, 1, 0)
+        assert (sol.representative, sol.period) == (2, 1)
+        cc = crosscheck(space, map_, 1, dataclasses.replace(sol, representative=0))
+        assert cc.label == "Disagree"
+        assert cc.detail == "representative 0 is not periodic for order 1"
+
 
 class TestContractionImpliesPeriodic:
     def test_contraction_implies_periodic_points(self):

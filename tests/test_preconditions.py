@@ -20,7 +20,6 @@ from graphcon import (
     crosscheck,
     enumerate_periodic,
     iterate,
-    prime_period,
     random_instance,
     ratio,
     solve,
@@ -76,7 +75,6 @@ CALLS = {
     "iterate-float": lambda: iterate(five_swap()[1], 0, 1.5),
     "table-power-negative": lambda: five_swap()[1].power(0, -1),
     "shift-power-negative": lambda: two_phase()[1].power(two_phase()[0].x(1), -1),
-    "prime_period-max-p-0": lambda: prime_period(five_swap()[1], 0, 0),
     "random_instance-max-points-1": lambda: random_instance(0, 1),
     "random_instance-max-points-13": lambda: random_instance(0, 13),
     "random_instance-max-points-float": lambda: random_instance(0, 2.5),

@@ -47,6 +47,8 @@ from graphcon.solver import (
 import builders
 from builders import unit_space
 
+TWO_PHASE = builders.two_phase()[0]
+
 
 class TestCauchyTailBound:
     def test_unit_first_step_half_ratio(self):
@@ -361,6 +363,28 @@ class TestClassifyLimits:
         with pytest.raises(InvalidPointError):
             classify_limits(space, [SeqPoint("x", 31)] * 2, cluster_tol)
 
+    @pytest.mark.parametrize("space, points", [
+        (unit_space(4), list(range(4))),
+        (TWO_PHASE, [TWO_PHASE.a_point, TWO_PHASE.b_point, *map(TWO_PHASE.x, range(1, 7))]),
+    ], ids=["unit_space(4)", "two_phase"])
+    @settings(deadline=None)
+    @given(data=st.data(), cluster_tol=st.sampled_from([0, DEFAULT_CLUSTER_TOL, 0.5, 2]))
+    def test_period_search_is_total(self, space, points, data, cluster_tol):
+        # the shift by n always matches, so the only refusal left is a pair
+        # of limits inside the chosen block that lie within cluster_tol
+        limits = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=8))
+        try:
+            case, p = classify_limits(space, limits, cluster_tol)
+        except ToleranceAmbiguityError as exc:
+            assert str(exc).startswith("limits ")
+            return
+        n = len(limits)
+        assert n % p == 0
+        if p == 1:
+            assert case is LimitCase.B_ALL_EQUAL
+        else:
+            assert case is (LimitCase.A_ALL_DISTINCT if p == n else LimitCase.D_PERIODIC_PATTERN)
+
 
 class TestSolve:
     def test_five_swap_from_three_cycle(self, five_swap):
@@ -418,16 +442,28 @@ class TestSolve:
         with pytest.raises(NotConvergedError, match="leaves the space after 30 terms"):
             solve(space, ShiftMap(space), 40, space.x(1))
 
+    @pytest.mark.parametrize("n, index, held", [(2, 999_999, "2 terms"), (1, 10**6, "1 term")])
+    def test_orbit_leaving_before_its_first_step(self, two_phase, n, index, held):
+        # the last index of the space is 10^6, so no strand takes a step
+        space, map_ = two_phase
+        with pytest.raises(NotConvergedError) as err:
+            solve(space, map_, n, space.x(index))
+        assert str(err.value) == (
+            "subsequence 1 did not converge "
+            f"(no step taken, the orbit leaves the space after {held})"
+        )
+        assert err.value.last_step is None
+
     @pytest.mark.parametrize("family", list(SequenceFamily))
     @pytest.mark.parametrize("n", [*range(1, 9), 29, 30, 31, 40])
     def test_leave_space_count_and_residue(self, family, n):
         # from x_s the orbit holds the 31 - s terms x_s ... x30; the strand
         # of the term that would come next reports it
         space = SequenceSpace(family, 0.0, 1.0, max_index=30)
-        for s in (1, 7, 30):
+        for s, held in ((1, "30 terms"), (7, "24 terms"), (30, "1 term")):
             with pytest.raises(NotConvergedError) as err:
                 solve(space, ShiftMap(space), n, space.x(s), max_outer=100)
-            assert f"the orbit leaves the space after {31 - s} terms" in str(err.value)
+            assert f"the orbit leaves the space after {held})" in str(err.value)
             assert err.value.residue == (31 - s) % n + 1
 
     def test_strands_settled_on_the_last_terms(self):
