@@ -1,19 +1,20 @@
 """Command-line interface.
 
 JSON results go to stdout, a short human summary to stderr. Exit codes:
-0 success (and gallery/crosscheck PASS), 1 engine error, 2 expectation
-FAIL.
+0 success (and gallery/crosscheck PASS), 1 engine or usage error (one
+``{"error": ...}`` document), 2 expectation FAIL. ``--help`` exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from . import analysis, gallery, oracle, solver
-from .errors import GraphconError, require_kind
+from .errors import BadParamsError, GraphconError, require_kind
 from .instances import load_instance, point_json
 from .spaces import FiniteSpace
 
@@ -105,14 +106,7 @@ def _cmd_oracle(args):
 
 def _cmd_gallery(args):
     report = gallery.run_gallery(args.id, a=args.a, b=args.b)
-    doc = {
-        "id": report.id,
-        "params": report.params,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
-        ],
-        "pass": report.passed,
-    }
+    doc = {**dataclasses.asdict(report), "pass": report.passed}
     summary = [
         f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in report.checks
     ]
@@ -143,8 +137,15 @@ def _cmd_crosscheck(args):
     return doc, 0 if cc.agree else 2, [f"crosscheck: {cc.label} ({cc.detail})"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error with BadParamsError, not argparse's exit 2."""
+
+    def error(self, message):
+        raise BadParamsError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphcon",
         description="Contraction-order analysis and periodic-point solving "
         "on metric-space instances.",
@@ -192,8 +193,8 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         doc, code, summary = args.fn(args)
     except GraphconError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -113,10 +113,10 @@ class ShiftMap:
 
     def rho(self, p: SeqPoint) -> tuple | None:
         """The anchors' 2-cycle (a, b) entered at once; None for every x_m."""
-        p = self.space.check_point(p)
-        if p.role == "x":
+        below_a, base, _ = self.space._place(p)  # an anchor has base 0
+        if base:
             return None
-        return 0, (self.space.a_point, self.space.b_point), int(p.role == "b")
+        return 0, (self.space.a_point, self.space.b_point), int(not below_a)
 
     def power(self, p: SeqPoint, k: int) -> SeqPoint:
         """T^k p in closed form: x_m -> x_{m+k}, and an anchor stays put
@@ -125,7 +125,7 @@ class ShiftMap:
         below_a, base, _ = self.space._place(p)
         if base:
             return self.space.x(p.n + k)
-        return p if k % 2 == 0 else SeqPoint("b" if below_a else "a", 0)
+        return p if k % 2 == 0 else self.space.b_point if below_a else self.space.a_point
 
 
 MapModel = Union[TableMap, ShiftMap]

@@ -337,9 +337,11 @@ def solve(
 
     The limits are clustered within ``1000 * tol`` (``DEFAULT_CLUSTER_TOL``
     at the default), then verified: consecutive limits must chain under T,
-    the representative must return to itself after p steps, within
-    ``2 * tol`` or else ToleranceAmbiguityError, and no proper divisor
-    below p may already bring it back. The verification steps T
+    and no proper divisor below p may already bring the representative
+    back. Its return after p steps follows: T^p of it is limit p + 1, which
+    classification matched to it, or, for p = n, T of the last limit, which
+    the chain check matched. ``residual`` reports it; above ``2 * tol`` it
+    is refused with ToleranceAmbiguityError. The verification steps T
     with ``map_.apply`` alone, so it relies on neither ``power`` nor
     ``rho``, the fast paths that produced the limits. Every image under T
     is checked as a point of ``space`` before it is compared, so that
@@ -373,11 +375,6 @@ def solve(
     representative = limits[0]
     back = space.check_point(_walk(map_, representative, period))
     residual = 0 if back == representative else space.distance(back, representative)
-    if residual > cluster_tol:
-        raise ConsistencyViolationError(
-            f"representative fails to return after {period} steps "
-            f"(residual {float(residual)})"
-        )
     if residual > 2 * tol:  # two strands with one limit end within 2 * tol
         raise ToleranceAmbiguityError(
             f"representative returns after {period} steps only within "

@@ -85,6 +85,11 @@ def _runs():
             runs.append((f"oracle random_instance({seed}, 8) order {n}", argv, doc))
             argv = ["crosscheck", "--order", str(n), "--start", "x1"]
             runs.append((f"crosscheck random_instance({seed}, 8) order {n} from x1", argv, doc))
+    # usage errors: one JSON error document and exit 1, like an engine error
+    runs.append(("usage error: no command", [], None))
+    argv = ["solve", "--order", "two", "--start", "x1"]
+    runs.append(("usage error: solve five_swap order two", argv, _finite_doc(*five_swap())))
+    runs.append(("usage error: gallery unknown id", ["gallery", "--id", "example_9_9"], None))
     return runs
 
 

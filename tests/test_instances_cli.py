@@ -496,6 +496,28 @@ class TestCliBadInput:
         assert doc["error"]["type"] == "BadParamsError"
 
 
+class TestCliUsageErrors:
+    # argparse would print its usage text and exit 2, the code of an
+    # expectation FAIL; a usage error is refused like any bad parameter
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--order", "two", "--start", "x1"],
+             "argument --order: invalid int value: 'two'"),
+            (["solve", "--order", "2"], "the following arguments are required: --start"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-int", "missing-option", "missing-subcommand"],
+    )
+    def test_json_error_with_exit_1(self, tmp_path, capsys, argv, message):
+        if argv:
+            argv = argv + ["--input", write_doc(tmp_path, TWO_PHASE_DOC)]
+        code, doc, err = run_cli(capsys, argv)  # stdout must parse as one document
+        assert code == 1
+        assert doc == {"error": {"type": "BadParamsError", "message": message}}
+        assert err == f"error: {message}\n"
+
+
 def cli_process(*args):
     """``python -m graphcon.cli *args`` in a new process that imports the
     graphcon this process imported, installed or not."""
@@ -515,6 +537,12 @@ class TestCliProcess:
         assert len(doc["periodic"]) == 5
         assert "divisor_ok" in proc.stderr
 
+    def test_usage_error_in_a_new_process(self, tmp_path):
+        proc = cli_process("analyze", "--input", write_doc(tmp_path, TWO_PHASE_DOC))
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "BadParamsError"
+        assert proc.stderr == "error: the following arguments are required: --order\n"
+
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         # the parser is built once, at import: neither a refused call nor an
         # option given to one call may carry over to the next
@@ -522,10 +550,9 @@ class TestCliProcess:
         solve = ["solve", "--input", path, "--order", "2", "--start", "x1"]
         fresh = cli_process(*solve)
         assert main(solve) == 0
-        with pytest.raises(SystemExit) as refused:
-            main(["solve", "--input", path, "--order", "two"])
-        assert refused.value.code == 2
         capsys.readouterr()
+        assert main(["solve", "--input", path, "--order", "two"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadParamsError"
         assert main(solve + ["--tol", "1e-6"]) == 0
         assert json.loads(capsys.readouterr().out) != json.loads(fresh.stdout)
         assert main(solve) == fresh.returncode == 0

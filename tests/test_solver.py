@@ -867,6 +867,51 @@ class TestIdentityComparisonMatchesReference:
         assert got[0] is ConsistencyViolationError
 
 
+def _check_return_within_cluster_tol(space, map_, sol, cluster_tol):
+    """The period's return, by apply alone, lies within the cluster
+    tolerance, and no proper divisor of the order below it returns."""
+    rep, back = sol.representative, sol.representative
+    for q in range(1, sol.period + 1):
+        back = map_.apply(back)
+        if q < sol.period and sol.order % q == 0:
+            assert space.distance(back, rep) > cluster_tol, (sol, q)
+    assert sol.residual == float(space.distance(back, rep)) <= cluster_tol
+
+
+class TestReturnFollowsFromTheChain:
+    # the limits are consecutive terms of one orbit, or of a cycle, and the
+    # chain check has matched T(last limit) to the first: so the
+    # representative returns within the cluster tolerance after its period,
+    # and classification has refused every earlier return
+    def test_random_finite_instances(self):
+        solved = 0
+        for seed in range(100):
+            space, map_ = random_instance(seed, 7)
+            for n in range(1, 7):
+                for start in space.points():
+                    try:
+                        sol = solve(space, map_, n, start)
+                    except NotConvergedError:  # no cycle length divides n
+                        continue
+                    _check_return_within_cluster_tol(space, map_, sol, 0)
+                    assert sol.residual == 0
+                    solved += 1
+        assert solved > 1000
+
+    @pytest.mark.parametrize("family, orders", [
+        (builders.two_phase, (2, 4, 6)), (builders.four_phase, (4, 8)),
+    ])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.5, 3.25)])
+    def test_sequence_families(self, family, orders, a, b):
+        space, shift = family(a, b)
+        for n in orders:
+            for start in map(space.point_named, ["a", "x1", "x2", "x3"]):
+                sol = solve(space, shift, n, start)
+                # an anchor's strands are read off the 2-cycle, exactly
+                tol = 0 if shift.rho(start) else DEFAULT_CLUSTER_TOL
+                _check_return_within_cluster_tol(space, shift, sol, tol)
+
+
 class TestExactSolveTakesNoDistance:
     def test_limits_read_off_cycles(self, monkeypatch, four_phase):
         # every strand is read off a cycle, so classification and
