@@ -85,9 +85,9 @@ class ToleranceAmbiguityError(GraphconError):
     """Limit clustering could not pick a period consistently.
 
     The block that the shortest matching cyclic shift chose still contains
-    a pair closer than the cluster tolerance. Signals a tolerance (in
-    ``solve``, ``tol``) too coarse for the spacing of the limits, never a
-    valid solver outcome.
+    a pair within the cluster tolerance (in ``solve``, ``2 * tol``, the
+    most two strands with one limit can end apart). Signals a ``tol`` too
+    coarse for the spacing of the limits, never a valid solver outcome.
     """
 
 
@@ -116,13 +116,13 @@ def require_int(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def require_tolerance(name: str, value, zero_ok: bool = False) -> None:
-    """Refuse anything but a real number above 0, or at 0 when ``zero_ok``
-    is set; NaN fails both comparisons."""
+    """Refuse anything but a finite real number above 0, or at 0 when
+    ``zero_ok`` is set; NaN fails, and a huge ``int`` or ``Fraction`` passes."""
     if isinstance(value, bool) or not isinstance(value, Real) or not (
-        value > 0 or zero_ok and value == 0
+        0 < value < math.inf or zero_ok and value == 0
     ):
         bound = ">= 0" if zero_ok else "> 0"
-        raise BadParamsError(f"{name} must be a number {bound}, got {value!r}")
+        raise BadParamsError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def require_kind(engine: str, space, kind: type) -> None:

@@ -4,9 +4,8 @@
 case id, the ordered checks to run on it as ``(check function, *args)``;
 each check function runs one claim through the engines and returns
 ``(name, ok, detail)``. ``run_gallery`` runs the table and returns a
-structured pass/fail report. The checks hold for anchors with b - a >= 1e-7.
-Closer anchors lie within the solver's cluster tolerance of each other, so
-``solve`` refuses their 2-cycle with ToleranceAmbiguityError.
+structured pass/fail report. The checks hold for anchors more than
+``2 * solver.DEFAULT_TOL`` apart: ``solve`` counts closer limits as one.
 
 Case ids (wire format):
 
@@ -39,6 +38,7 @@ from .spaces import FiniteSpace, SequenceFamily, SequenceSpace, SpaceModel
 __all__ = [
     "GALLERY_IDS",
     "CHECKS",
+    "Anchors",
     "GalleryCase",
     "ClassInstance",
     "build_case",
@@ -58,9 +58,15 @@ class ClassInstance:
 
 
 @dataclass(frozen=True)
+class Anchors:
+    a: float
+    b: float
+
+
+@dataclass(frozen=True)
 class GalleryCase:
     id: str
-    params: Optional[dict]
+    params: Optional[Anchors]
     space: Optional[SpaceModel]
     map_: Optional[MapModel]
     class_instances: tuple
@@ -101,7 +107,7 @@ def build_case(case_id: str, a: float = 0.0, b: float = 1.0) -> GalleryCase:
         return GalleryCase(case_id, None, map_.space, map_, ())
     if case_id in ("example_2_3", "example_2_4"):
         space = SequenceSpace(SequenceFamily(case_id), float(a), float(b))
-        return GalleryCase(case_id, {"a": float(a), "b": float(b)}, space, ShiftMap(space), ())
+        return GalleryCase(case_id, Anchors(float(a), float(b)), space, ShiftMap(space), ())
     if case_id == "example_2_5":
         return GalleryCase(case_id, None, None, None, _class_instances())
     raise UnknownIdError(f"no gallery case {case_id!r}")
@@ -117,7 +123,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class GalleryReport:
     id: str
-    params: Optional[dict]
+    params: Optional[Anchors]
     checks: tuple
 
     @property
@@ -163,8 +169,8 @@ def _oracle(case, n, periods, orbit_count):
 
 def _solve(case, n, start, period, shape, limits=None):
     """Solve from ``start``; cross-check against the oracle, or, given
-    named ``limits``, require the limits within the solver's
-    ``DEFAULT_CLUSTER_TOL`` of them."""
+    named ``limits``, require the limits and the residual within the
+    solver's cluster tolerance, ``2 * DEFAULT_TOL``, of them."""
     space, map_ = case.space, case.map_
     name = f"solve_order{n}_from_{start}"
     try:
@@ -178,7 +184,7 @@ def _solve(case, n, start, period, shape, limits=None):
         return name, ok and cc.agree, f"{detail}, crosscheck {cc.label}"
     targets = [space.point_named(nm) for nm in limits]
     gap = float(max(space.distance(lim, t) for lim, t in zip(sol.limits, targets)))
-    close = max(gap, sol.residual) <= solver.DEFAULT_CLUSTER_TOL
+    close = max(gap, sol.residual) <= 2 * solver.DEFAULT_TOL
     ok = ok and len(sol.limits) == len(targets) and close
     return name, ok, f"{detail}, max limit gap {gap:.2e}, residual {sol.residual:.2e}"
 

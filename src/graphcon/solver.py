@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_CLUSTER_TOL = 1e-7  # 10^3 * tol: clustering must dominate truncation
 DEFAULT_MAX_OUTER = 100_000
 GAMMA_CAP = 1 - 1e-9
 RATIO_WINDOW = 3
@@ -268,17 +267,17 @@ def _within(space: SpaceModel, x, y, tol) -> bool:
     return x == y or tol > 0 and space.distance(x, y) <= tol
 
 
-def classify_limits(
-    space: SpaceModel, limits, cluster_tol: float = DEFAULT_CLUSTER_TOL
-):
+def classify_limits(space: SpaceModel, limits, cluster_tol: float = 2 * DEFAULT_TOL):
     """Match the limit list against cyclic shifts of divisor length.
 
     Returns ``(case, p)`` where p is the smallest divisor of n whose shift
     maps the limit list onto itself within ``cluster_tol``, and p = n
     always does. The first p limits must then be pairwise separated by
     more than ``cluster_tol``, or ToleranceAmbiguityError is raised. The
-    limits are checked as points of ``space`` first, then compared by
-    identity before any distance, and by identity alone at ``cluster_tol`` 0.
+    default, ``2 * DEFAULT_TOL``, is the tolerance ``solve`` uses for
+    limits walked at its default ``tol``. The limits are checked as points
+    of ``space`` first, then compared by identity before any distance, and
+    by identity alone at ``cluster_tol`` 0.
     """
     n = len(limits)
     require_int("number of limits", n, 1)
@@ -335,26 +334,25 @@ def solve(
 ) -> PeriodicSolution:
     """Find a periodic point by advancing and classifying the n subsequences.
 
-    The limits are clustered within ``1000 * tol`` (``DEFAULT_CLUSTER_TOL``
-    at the default), then verified: consecutive limits must chain under T,
-    and no proper divisor below p may already bring the representative
-    back. Its return after p steps follows: T^p of it is limit p + 1, which
-    classification matched to it, or, for p = n, T of the last limit, which
-    the chain check matched. ``residual`` reports it; above ``2 * tol`` it
-    is refused with ToleranceAmbiguityError. The verification steps T
-    with ``map_.apply`` alone, so it relies on neither ``power`` nor
-    ``rho``, the fast paths that produced the limits. Every image under T
-    is checked as a point of ``space`` before it is compared, so that
+    Every walked strand stops with a tail bound below ``tol``, so its last
+    term lies within ``tol`` of its limit, and two strands with one limit
+    end within ``2 * tol`` of each other. That is the one rule: limits
+    within ``2 * tol`` are one limit. They are clustered at that tolerance,
+    then verified: consecutive limits must chain under T, and no proper
+    divisor below p may already bring the representative back. Its return
+    after p steps follows: T^p of it is limit p + 1, which classification
+    matched to it, or, for p = n, T of the last limit, which the chain
+    check matched; ``residual`` reports it. The verification steps T with
+    ``map_.apply`` alone, so it relies on neither ``power`` nor ``rho``,
+    the fast paths that produced the limits. Every image under T is
+    checked as a point of ``space`` before it is compared, so that
     ``True``, equal to 1, is not taken for a point. When every strand
     ended constant the limits are exact, and both steps use tolerance 0:
     they compare the limits by identity and evaluate no distance.
     """
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
     limits = [st.limit for st in states]
-    if all(st.last_step == 0 for st in states):
-        cluster_tol = 0
-    else:  # min(): an int or Fraction tol past the float range would overflow
-        cluster_tol = DEFAULT_CLUSTER_TOL * (min(tol, 1e308) / DEFAULT_TOL)
+    cluster_tol = 0 if all(st.last_step == 0 for st in states) else 2 * tol
     case, period = classify_limits(space, limits, cluster_tol=cluster_tol)
 
     for i, st in enumerate(states):
@@ -375,11 +373,6 @@ def solve(
     representative = limits[0]
     back = space.check_point(_walk(map_, representative, period))
     residual = 0 if back == representative else space.distance(back, representative)
-    if residual > 2 * tol:  # two strands with one limit end within 2 * tol
-        raise ToleranceAmbiguityError(
-            f"representative returns after {period} steps only within "
-            f"{float(residual)}, more than 2 * tol; tol {tol} cannot tell the limits apart"
-        )
     for q in divisors(n):
         if q >= period:
             break

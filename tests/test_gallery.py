@@ -1,5 +1,7 @@
 """Gallery construction and end-to-end expectation runs."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from graphcon import (
@@ -7,10 +9,13 @@ from graphcon import (
     BadParamsError,
     FiniteSpace,
     SequenceSpace,
+    ToleranceAmbiguityError,
     UnknownIdError,
     build_case,
     run_gallery,
+    solver,
 )
+from graphcon.gallery import Anchors
 
 
 class TestBuildCase:
@@ -25,7 +30,7 @@ class TestBuildCase:
     def test_sequence_cases_carry_params(self):
         case = build_case("example_2_3", a=-1.0, b=2.0)
         assert isinstance(case.space, SequenceSpace)
-        assert case.params == {"a": -1.0, "b": 2.0}
+        assert case.params == Anchors(-1.0, 2.0)
 
     def test_class_case_bundles_three_instances(self):
         case = build_case("example_2_5")
@@ -79,11 +84,17 @@ class TestCharacterization:
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.5, 0.25)])
     @pytest.mark.parametrize("case_id", ["example_2_3", "example_2_4"])
     def test_sequence_params(self, case_id, a, b):
-        assert run_gallery(case_id, a=a, b=b).params == {"a": a, "b": b}
+        assert run_gallery(case_id, a=a, b=b).params == Anchors(a, b)
 
     @pytest.mark.parametrize("case_id", ["example_2_2", "example_2_5"])
     def test_finite_cases_take_no_params(self, case_id):
         assert run_gallery(case_id).params is None
+
+    def test_report_is_frozen_and_hashes(self):
+        report = run_gallery("example_2_3")
+        assert hash(report) == hash(run_gallery("example_2_3"))
+        with pytest.raises(FrozenInstanceError):
+            report.params.a = 99.0
 
 
 class TestRunGallery:
@@ -102,21 +113,35 @@ class TestRunGallery:
     @pytest.mark.parametrize(
         "case_id, b, failing",
         [
-            ("example_2_3", 1e-8, "solve_order2_from_x1"),
-            ("example_2_4", 1e-9, "solve_order4_from_x1"),
+            ("example_2_3", 1e-10, "solve_order2_from_x1"),
+            ("example_2_3", 1e-9, None),
+            ("example_2_3", 1e-8, None),
             ("example_2_3", 1e-7, None),
+            ("example_2_4", 1e-9, None),
             ("example_2_4", 1e-7, None),
         ],
     )
     def test_anchors_closer_than_the_cluster_tolerance(self, case_id, b, failing):
-        # the solver clusters a 2-cycle narrower than 1e-7 into one point,
-        # finds its limits more than 2 * tol apart and refuses the solve;
-        # every other check still holds
+        # the solver counts limits within 2 * tol = 2e-10 of each other as
+        # one, so a 2-cycle that narrow solves as period 1 and fails the
+        # solve check alone; anchors from 1e-9 apart pass every check
         report = run_gallery(case_id, a=0.0, b=b)
         assert [c.name for c in report.checks if not c.ok] == ([failing] if failing else [])
         if failing:
             detail = next(c.detail for c in report.checks if not c.ok)
-            assert detail.startswith("solver raised ToleranceAmbiguityError")
+            assert detail.startswith("period 1, case B")
+
+    def test_solver_refusal_fails_the_solve_check_alone(self, monkeypatch):
+        # no valid anchors make the gallery's solves raise; a refusal would
+        # still be reported as one failed check, not abort the run
+        def refuse(*args, **kwargs):
+            raise ToleranceAmbiguityError("limits 0 and 1 coincide")
+
+        monkeypatch.setattr(solver, "solve", refuse)
+        report = run_gallery("example_2_3")
+        failed = [c for c in report.checks if not c.ok]
+        assert [c.name for c in failed] == ["solve_order2_from_x1"]
+        assert failed[0].detail == "solver raised ToleranceAmbiguityError: limits 0 and 1 coincide"
 
     def test_report_details_are_informative(self):
         report = run_gallery("example_2_3")

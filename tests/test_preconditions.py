@@ -59,6 +59,7 @@ CALLS = {
     ),
     "solve-finite-tol-0": lambda: solve(*five_swap(), 6, 0, tol=0),
     "solve-finite-tol-nan": lambda: solve(*five_swap(), 6, 0, tol=math.nan),
+    "solve-finite-tol-inf": lambda: solve(*five_swap(), 6, 0, tol=math.inf),
     "solve-order-0": lambda: solve(*five_swap(), 0, 0),
     "solve-order-float": lambda: solve(*five_swap(), 2.0, 0),
     "advance_subsequences-max-outer-1": lambda: advance_subsequences(
@@ -85,12 +86,16 @@ CALLS = {
     "cauchy_tail_bound-gamma-nan": lambda: cauchy_tail_bound(1.0, math.nan, 2),
     "cauchy_tail_bound-step-nan": lambda: cauchy_tail_bound(math.nan, 0.5, 2),
     "stopper-tol-nan": lambda: TailBoundStopper(math.nan),
+    "stopper-tol-inf": lambda: TailBoundStopper(math.inf),
     "classify_limits-empty": lambda: classify_limits(five_swap()[0], []),
     "classify_limits-cluster-tol-negative": lambda: classify_limits(
         five_swap()[0], [0, 1], cluster_tol=-1
     ),
     "classify_limits-cluster-tol-nan": lambda: classify_limits(
         five_swap()[0], [0, 1], cluster_tol=math.nan
+    ),
+    "classify_limits-cluster-tol-inf": lambda: classify_limits(
+        five_swap()[0], [0, 1], cluster_tol=math.inf
     ),
     "sequence-space-unknown-family": lambda: SequenceSpace("nope", 0.0, 1.0),
     "sequence-space-anchor-text": lambda: SequenceSpace(SequenceFamily.TWO_PHASE, "0", 1.0),

@@ -37,7 +37,6 @@ from graphcon import (
     solve,
 )
 from graphcon.solver import (
-    DEFAULT_CLUSTER_TOL,
     DEFAULT_MAX_OUTER,
     DEFAULT_TOL,
     MAX_ORDER,
@@ -48,6 +47,7 @@ import builders
 from builders import unit_space
 
 TWO_PHASE = builders.two_phase()[0]
+CLUSTER_TOL = 2 * DEFAULT_TOL  # solve's tolerance for walked limits at the default tol
 
 
 class TestCauchyTailBound:
@@ -350,14 +350,14 @@ class TestClassifyLimits:
             classify_limits(space, [0, 1, 2, 0])
 
     @pytest.mark.parametrize("limits", [["bogus", "bogus"], [1.0, 1.0], [True, True]])
-    @pytest.mark.parametrize("cluster_tol", [0, DEFAULT_CLUSTER_TOL])
+    @pytest.mark.parametrize("cluster_tol", [0, 1e-7])  # without and with distances
     def test_equal_invalid_finite_limits_refused(self, limits, cluster_tol):
         # equal limits are compared without a distance, which would have
         # checked them; 1.0 and True even compare equal to the index 1
         with pytest.raises(InvalidPointError):
             classify_limits(unit_space(3), limits, cluster_tol)
 
-    @pytest.mark.parametrize("cluster_tol", [0, DEFAULT_CLUSTER_TOL])
+    @pytest.mark.parametrize("cluster_tol", [0, 1e-7])
     def test_equal_invalid_sequence_limits_refused(self, cluster_tol):
         space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1.0, max_index=30)
         with pytest.raises(InvalidPointError):
@@ -368,7 +368,7 @@ class TestClassifyLimits:
         (TWO_PHASE, [TWO_PHASE.a_point, TWO_PHASE.b_point, *map(TWO_PHASE.x, range(1, 7))]),
     ], ids=["unit_space(4)", "two_phase"])
     @settings(deadline=None)
-    @given(data=st.data(), cluster_tol=st.sampled_from([0, DEFAULT_CLUSTER_TOL, 0.5, 2]))
+    @given(data=st.data(), cluster_tol=st.sampled_from([0, CLUSTER_TOL, 0.5, 2]))
     def test_period_search_is_total(self, space, points, data, cluster_tol):
         # the shift by n always matches, so the only refusal left is a pair
         # of limits inside the chosen block that lie within cluster_tol
@@ -662,15 +662,24 @@ class TestSolve:
             solve(space, map_, 2, 0, max_outer=50)
 
     def test_cluster_tolerance_follows_tol(self):
-        # the anchors lie 1e-8 apart: the default cluster tolerance 1e-7
-        # merges their 2-cycle, but its limits lie more than 2 * tol apart,
-        # so the solve is refused; 1000 * tol = 1e-10 keeps the cycle apart
+        # the anchors lie 1e-8 apart: the default tol counts limits within
+        # 2e-10 as one and keeps the 2-cycle apart; at tol 2e-8 the two
+        # limits end about 2.1e-8 apart, within 2 * tol, and are one limit
         space = SequenceSpace(SequenceFamily.TWO_PHASE, 0.0, 1e-8)
         shift = ShiftMap(space)
-        with pytest.raises(ToleranceAmbiguityError, match=r"more than 2 \* tol"):
-            solve(space, shift, 2, space.x(1))
-        sol = solve(space, shift, 2, space.x(1), tol=1e-13)
+        sol = solve(space, shift, 2, space.x(1))
         assert (sol.period, sol.case) == (2, LimitCase.A_ALL_DISTINCT)
+        sol = solve(space, shift, 2, space.x(1), tol=2e-8)
+        assert (sol.period, sol.case) == (1, LimitCase.B_ALL_EQUAL)
+        assert space.distance(*sol.limits) <= 4e-8
+
+    @pytest.mark.parametrize("tol", [10**400, Fraction(10**400, 3)])
+    def test_exact_tol_past_the_float_range(self, two_phase, tol):
+        # 2 * tol stays exact, so it cannot overflow; any two limits lie
+        # within it, so the solve merges them into one
+        space, shift = two_phase
+        sol = solve(space, shift, 2, space.x(1), tol=tol)
+        assert (sol.period, sol.case) == (1, LimitCase.B_ALL_EQUAL)
 
     @pytest.mark.parametrize("start", [0, 1])
     @pytest.mark.parametrize("step", ["apply", "walk"])
@@ -768,10 +777,7 @@ def reference_solve(space, map_, n, start, tol=DEFAULT_TOL):
     compared against it reaches the end of its space."""
     states = advance_subsequences(space, map_, n, start, tol=tol)
     limits = [st_.limit for st_ in states]
-    if all(st_.last_step == 0 for st_ in states):
-        cluster_tol = 0
-    else:
-        cluster_tol = DEFAULT_CLUSTER_TOL * (min(tol, 1e308) / DEFAULT_TOL)
+    cluster_tol = 0 if all(st_.last_step == 0 for st_ in states) else 2 * tol
     case, period = reference_classify(space, limits, cluster_tol)
     for i in range(n):
         gap = space.distance(map_.apply(limits[i]), limits[(i + 1) % n])
@@ -787,11 +793,6 @@ def reference_solve(space, map_, n, start, tol=DEFAULT_TOL):
         raise ConsistencyViolationError(
             f"representative fails to return after {period} steps "
             f"(residual {float(residual)})"
-        )
-    if residual > 2 * tol:
-        raise ToleranceAmbiguityError(
-            f"representative returns after {period} steps only within "
-            f"{float(residual)}, more than 2 * tol; tol {tol} cannot tell the limits apart"
         )
     for q in divisors(n):
         if q >= period:
@@ -848,13 +849,12 @@ class TestIdentityComparisonMatchesReference:
     @pytest.mark.parametrize("family, n, b", [
         (builders.two_phase, 2, 1e-8), (builders.four_phase, 4, 1e-9),
     ])
-    def test_cycle_inside_the_cluster_tolerance_refused(self, family, n, b):
-        # the anchors' 2-cycle lies inside the cluster tolerance, but its
-        # limits lie more than 2 * tol apart: refused, not period 1
+    def test_narrow_cycle_outside_the_cluster_tolerance_solved(self, family, n, b):
+        # the anchors' 2-cycle is narrow but wider than 2 * tol: solved
         space, shift = family(0.0, b)
-        got = _solution_or_error(solve, space, shift, n, space.x(1))
-        assert got == _solution_or_error(reference_solve, space, shift, n, space.x(1))
-        assert got[0] is ToleranceAmbiguityError
+        got = solve(space, shift, n, space.x(1))
+        assert got == reference_solve(space, shift, n, space.x(1))
+        assert got.period == 2
 
     def test_wrap_around_gap_message(self, two_phase):
         space, shift = two_phase
@@ -908,8 +908,29 @@ class TestReturnFollowsFromTheChain:
             for start in map(space.point_named, ["a", "x1", "x2", "x3"]):
                 sol = solve(space, shift, n, start)
                 # an anchor's strands are read off the 2-cycle, exactly
-                tol = 0 if shift.rho(start) else DEFAULT_CLUSTER_TOL
+                tol = 0 if shift.rho(start) else CLUSTER_TOL
                 _check_return_within_cluster_tol(space, shift, sol, tol)
+
+
+class TestLimitsWithinTwiceTolAreOneLimit:
+    # every walked strand stops with a tail bound below tol, so it ends
+    # within tol of its limit: a 2-cycle wider than 2 * tol is found as a
+    # 2-cycle, with each limit within tol of its anchor
+    @pytest.mark.parametrize("family, orders", [
+        (builders.two_phase, (2, 4, 6)), (builders.four_phase, (4, 8, 12)),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("a", [0.0, -2.5])
+    def test_narrow_two_cycles_solve(self, family, orders, tol, a):
+        for gap in (1e4 * tol, 10 * tol, 2.01 * tol):
+            space, shift = family(a, a + gap)
+            anchors = (space.a_point, space.b_point)
+            for n in orders:
+                for start in map(space.point_named, ["a", "b", "x1", "x2", "x3", "x4"]):
+                    sol = solve(space, shift, n, start, tol=tol)
+                    assert sol.period == 2, (gap, n, start)
+                    for lim in sol.limits:
+                        assert min(space.distance(lim, p) for p in anchors) <= tol
 
 
 class TestExactSolveTakesNoDistance:

@@ -55,9 +55,21 @@ def test_engines_raise_only_typed_errors():
     assert SOURCES and not found
 
 
+def _annotation_names(node):
+    """Every name inside an annotation, quoted parts included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
 def test_models_declare_no_mutable_container_fields():
-    # no caching layers: a field annotated dict, list or set could grow
-    # behind a frozen model, and every model must stay immutable
+    # no caching layers: a field annotated dict, list or set, or a wrapper
+    # around one such as Optional[dict], could grow behind a frozen model,
+    # and every model must stay immutable
     mutable = {"dict", "list", "set", "Dict", "List", "Set"}
     found = [
         f"{path.name}:{stmt.lineno} {cls.name}.{ast.unparse(stmt.target)}"
@@ -66,6 +78,15 @@ def test_models_declare_no_mutable_container_fields():
         if isinstance(cls, ast.ClassDef)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign)
-        and ast.unparse(stmt.annotation).strip("'\"").partition("[")[0] in mutable
+        and mutable.intersection(_annotation_names(stmt.annotation))
     ]
     assert SOURCES and not found
+
+
+def test_annotation_names_reach_inside_wrappers():
+    def names(text):
+        return set(_annotation_names(ast.parse(text, mode="eval")))
+
+    assert {"dict", "Optional"} <= names("Optional[dict]")
+    assert "List" in names("'typing.List[int]'")
+    assert "set" in names("Optional['set']")
