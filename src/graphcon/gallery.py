@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import analysis, oracle, solver
 from .analysis import ContractionClass
-from .errors import UnknownIdError
+from .errors import GraphconError, UnknownIdError
 from .maps import MapModel, ShiftMap, TableMap, prime_period
 from .spaces import FiniteSpace, SequenceFamily, SequenceSpace, SpaceModel
 
@@ -175,7 +175,7 @@ def _solve(case, n, start, period, shape, limits=None):
     name = f"solve_order{n}_from_{start}"
     try:
         sol = solver.solve(space, map_, n, space.point_named(start))
-    except Exception as exc:  # report instead of aborting the gallery
+    except GraphconError as exc:  # report a refusal instead of aborting the gallery
         return name, False, f"solver raised {type(exc).__name__}: {exc}"
     ok = sol.period == period and sol.case.value == shape
     detail = f"period {sol.period}, case {sol.case.value}"

@@ -65,8 +65,9 @@ MAX_ORDER = 100_000  # n strands, n limits and divisors(n) are built per solve
 
 
 def divisors(n: int) -> List[int]:
-    """Positive divisors of n in increasing order."""
-    return [q for q in range(1, n + 1) if n % q == 0]
+    """Positive divisors of n in increasing order, found in O(sqrt(n)) steps."""
+    small = [q for q in range(1, math.isqrt(n) + 1) if n % q == 0]
+    return small + [n // q for q in reversed(small) if q * q != n]
 
 
 def cauchy_tail_bound(d1, gamma, k: int):
@@ -276,17 +277,18 @@ def classify_limits(space: SpaceModel, limits, cluster_tol: float = 2 * DEFAULT_
     more than ``cluster_tol``, or ToleranceAmbiguityError is raised. The
     default, ``2 * DEFAULT_TOL``, is the tolerance ``solve`` uses for
     limits walked at its default ``tol``. The limits are checked as points
-    of ``space`` first, then compared by identity before any distance, and
-    by identity alone at ``cluster_tol`` 0.
+    of ``space`` first. Each shift is tried as one list comparison, which
+    matches equal points; only above ``cluster_tol`` 0 are the limits then
+    compared one by one, by identity before any distance.
     """
     n = len(limits)
     require_int("number of limits", n, 1)
     require_tolerance("cluster_tol", cluster_tol, zero_ok=True)
     limits = [space.check_point(x) for x in limits]
-    # q = n matches: the shift by n maps each limit onto itself, and _within tests x == y first
+    # q = n matches: the shift by n maps the list onto itself
     period = next(
-        q for q in divisors(n)
-        if all(_within(space, limits[i], limits[(i + q) % n], cluster_tol) for i in range(n))
+        q for q in divisors(n) if limits[q:] + limits[:q] == limits or cluster_tol > 0
+        and all(_within(space, x, limits[(i + q) % n], cluster_tol) for i, x in enumerate(limits))
     )
     for i in range(period):
         for j in range(i + 1, period):
@@ -348,9 +350,12 @@ def solve(
     checked as a point of ``space`` before it is compared, so that
     ``True``, equal to 1, is not taken for a point. When every strand
     ended constant the limits are exact, and both steps use tolerance 0:
-    they compare the limits by identity and evaluate no distance.
+    they compare the limits by identity and evaluate no distance. A float
+    ``tol`` whose double overflows is refused.
     """
     states = advance_subsequences(space, map_, n, start, max_outer=max_outer, tol=tol)
+    if 2 * tol == math.inf:  # a float tol above half the largest float; the walk checked tol
+        raise BadParamsError(f"tol must be at most half the largest float, got {tol!r}")
     limits = [st.limit for st in states]
     cluster_tol = 0 if all(st.last_step == 0 for st in states) else 2 * tol
     case, period = classify_limits(space, limits, cluster_tol=cluster_tol)

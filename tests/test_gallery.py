@@ -143,6 +143,15 @@ class TestRunGallery:
         assert [c.name for c in failed] == ["solve_order2_from_x1"]
         assert failed[0].detail == "solver raised ToleranceAmbiguityError: limits 0 and 1 coincide"
 
+    def test_programming_error_in_the_solver_propagates(self, monkeypatch):
+        # only a GraphconError is a refusal to report; anything else is a bug
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(solver, "solve", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_gallery("example_2_3")
+
     def test_report_details_are_informative(self):
         report = run_gallery("example_2_3")
         by_name = {c.name: c for c in report.checks}

@@ -382,9 +382,10 @@ class TestCliBadInput:
             (FIVE_SWAP_DOC, ["oracle", "--order", "0"]),
             (TWO_PHASE_DOC, ["analyze", "--order", "1", "--index-cap", str(MAX_INDEX_CAP + 1)]),
             (TWO_PHASE_DOC, ["solve", "--order", "2", "--start", "x1", "--tol", "1e400"]),
+            (TWO_PHASE_DOC, ["solve", "--order", "2", "--start", "x1", "--tol", "1e308"]),
         ],
         ids=["order-0", "index-cap-0", "tol-0", "oracle-sequence", "tol-nan", "oracle-order-0",
-             "index-cap-above-limit", "tol-infinite"],
+             "index-cap-above-limit", "tol-infinite", "tol-double-overflows"],
     )
     def test_out_of_range_option(self, tmp_path, capsys, doc_in, argv):
         path = write_doc(tmp_path, doc_in)

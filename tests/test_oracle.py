@@ -1,6 +1,7 @@
 """Exhaustive enumeration, random instances, solver crosschecks."""
 
 import dataclasses
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,62 @@ from graphcon import (
 )
 
 from builders import unit_space
+
+UNIT_SPACE = lru_cache(maxsize=None)(unit_space)  # validated once per size
+
+
+def reference_enumerate(space, map_, n, full_scan=False):
+    """The horizon walk: every point is walked up to the largest admissible
+    period, its first return at an admissible period is its prime period,
+    and the orbits are then walked from the periodic points in order."""
+    candidates = {p for p in range(1, space.size + 1) if full_scan or n % p == 0}
+    horizon = max(candidates)
+    image = [space.check_point(map_.apply(x)) for x in space.points()]
+    periodic = []
+    for x in space.points():
+        y = x
+        for p in range(1, horizon + 1):
+            y = image[y]
+            if y == x and p in candidates:
+                periodic.append((x, p))
+                break
+    seen = set()
+    orbits = []
+    for x, p in periodic:
+        if x in seen:
+            continue
+        cyc = [x]
+        for _ in range(p - 1):
+            cyc.append(image[cyc[-1]])
+        seen.update(cyc)
+        orbits.append(tuple(cyc))
+    all_divide = all(n % p == 0 for _, p in periodic)
+    nonempty_when_needed = (
+        bool(periodic) or alpha_exact(space, map_, n).verdict is not Verdict.CONTRACTION
+    )
+    return oracle.OracleResult(
+        tuple(periodic), tuple(orbits), all_divide and nonempty_when_needed
+    )
+
+
+def assert_matches_reference(images, n, full_scan):
+    space = UNIT_SPACE(len(images))
+    map_ = TableMap(space, tuple(images))
+    got = enumerate_periodic(space, map_, n, full_scan)
+    want = reference_enumerate(space, map_, n, full_scan)
+    assert got.periodic == want.periodic
+    assert got.orbits == want.orbits
+    assert got.divisor_ok == want.divisor_ok
+
+
+EDGE_SIZES = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17]  # |X| at and beside powers of two
+ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 15, 16, 17, 60, 10**12]
+
+
+@st.composite
+def tables(draw):
+    size = draw(st.integers(min_value=1, max_value=40))
+    return draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
 
 
 class TestEnumeratePeriodic:
@@ -74,7 +131,7 @@ class TestEnumeratePeriodic:
 
     def test_walk_stops_at_the_space_size(self):
         # an uncapped walk tries every divisor of n and walks up to n steps;
-        # a prime period is at most |X|, so the capped oracle finds the same
+        # a prime period is at most |X|, so the oracle finds the same
         def uncapped(space, map_, n):
             found = []
             for x in space.points():
@@ -94,6 +151,31 @@ class TestEnumeratePeriodic:
         space = unit_space(3)
         tail = TableMap(space, (1, 0, 0))
         assert enumerate_periodic(space, tail, 10**12) == enumerate_periodic(space, tail, 12)
+
+    @settings(deadline=None)
+    @given(
+        images=tables(),
+        n=st.one_of(st.integers(min_value=1, max_value=60), st.just(10**12)),
+        full_scan=st.booleans(),
+    )
+    def test_equals_the_horizon_walk(self, images, n, full_scan):
+        assert_matches_reference(images, n, full_scan)
+
+    @pytest.mark.parametrize("full_scan", [False, True])
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_shapes_at_the_squaring_edge(self, size, full_scan):
+        # the identity, one |X|-cycle, the longest tail into a fixed point
+        # (|X| - 1 steps, the most that T^(2^k) has to pass) and the longest
+        # tail into a 2-cycle
+        shapes = [
+            list(range(size)),
+            [(x + 1) % size for x in range(size)],
+            [max(x - 1, 0) for x in range(size)],
+            [1 - x if x < 2 else x - 1 for x in range(size)] if size > 1 else [0],
+        ]
+        for images in shapes:
+            for n in ORDERS:
+                assert_matches_reference(images, n, full_scan)
 
     def test_orbits_partition_periodic_points(self):
         for seed in range(30):

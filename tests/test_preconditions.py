@@ -60,6 +60,9 @@ CALLS = {
     "solve-finite-tol-0": lambda: solve(*five_swap(), 6, 0, tol=0),
     "solve-finite-tol-nan": lambda: solve(*five_swap(), 6, 0, tol=math.nan),
     "solve-finite-tol-inf": lambda: solve(*five_swap(), 6, 0, tol=math.inf),
+    "solve-sequence-tol-double-overflows": lambda: solve(
+        *two_phase(), 2, two_phase()[0].x(1), tol=1e308
+    ),
     "solve-order-0": lambda: solve(*five_swap(), 0, 0),
     "solve-order-float": lambda: solve(*five_swap(), 2.0, 0),
     "advance_subsequences-max-outer-1": lambda: advance_subsequences(

@@ -1,5 +1,6 @@
 """Tail bound, subsequence advancement, limit classification, solve."""
 
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -47,6 +48,7 @@ import builders
 from builders import unit_space
 
 TWO_PHASE = builders.two_phase()[0]
+NARROW_TWO_PHASE = builders.two_phase(0.0, 1e-9)[0]  # anchors inside some cluster tolerances
 CLUSTER_TOL = 2 * DEFAULT_TOL  # solve's tolerance for walked limits at the default tol
 
 
@@ -385,6 +387,55 @@ class TestClassifyLimits:
         else:
             assert case is (LimitCase.A_ALL_DISTINCT if p == n else LimitCase.D_PERIODIC_PATTERN)
 
+    @pytest.mark.parametrize("space, points", [
+        (builders.line_space([0, 1, 3, 7]), list(range(4))),
+        (TWO_PHASE, [TWO_PHASE.a_point, TWO_PHASE.b_point, *map(TWO_PHASE.x, range(1, 7))]),
+        (NARROW_TWO_PHASE, [NARROW_TWO_PHASE.a_point, NARROW_TWO_PHASE.b_point,
+                            *map(NARROW_TWO_PHASE.x, range(1, 5))]),
+    ], ids=["line_space", "two_phase", "narrow_two_phase"])
+    @settings(deadline=None)
+    @given(data=st.data(), cluster_tol=st.sampled_from([0, CLUSTER_TOL, 1e-9, 0.3, 1, 2, 5]))
+    def test_equals_the_element_by_element_shift_test(self, space, points, data, cluster_tol):
+        # a repeated block, sometimes with one limit replaced, so that every
+        # case and the refusal all come up
+        block = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6))
+        limits = block * data.draw(st.integers(min_value=1, max_value=4))
+        if data.draw(st.booleans()):
+            limits[data.draw(st.integers(0, len(limits) - 1))] = data.draw(st.sampled_from(points))
+        assert outcome(classify_limits, space, limits, cluster_tol) == outcome(
+            reference_classify, space, limits, cluster_tol
+        )
+
+
+def reference_classify(space, limits, cluster_tol):
+    """classify_limits comparing every divisor shift limit by limit."""
+    n = len(limits)
+
+    def within(x, y):
+        return x == y or cluster_tol > 0 and space.distance(x, y) <= cluster_tol
+
+    period = next(
+        q for q in range(1, n + 1)
+        if n % q == 0 and all(within(limits[i], limits[(i + q) % n]) for i in range(n))
+    )
+    for i in range(period):
+        for j in range(i + 1, period):
+            if within(limits[i], limits[j]):
+                raise ToleranceAmbiguityError(
+                    f"limits {i} and {j} coincide within {cluster_tol} "
+                    f"although the shift test chose period {period}"
+                )
+    if period == 1:
+        return LimitCase.B_ALL_EQUAL, 1
+    return (LimitCase.A_ALL_DISTINCT if period == n else LimitCase.D_PERIODIC_PATTERN), period
+
+
+def outcome(classify, space, limits, cluster_tol):
+    try:
+        return classify(space, limits, cluster_tol)
+    except ToleranceAmbiguityError as exc:
+        return str(exc)
+
 
 class TestSolve:
     def test_five_swap_from_three_cycle(self, five_swap):
@@ -672,6 +723,19 @@ class TestSolve:
         sol = solve(space, shift, 2, space.x(1), tol=2e-8)
         assert (sol.period, sol.case) == (1, LimitCase.B_ALL_EQUAL)
         assert space.distance(*sol.limits) <= 4e-8
+
+    @pytest.mark.parametrize("start", ["x1", "a"])  # walked strands, and strands off a cycle
+    @pytest.mark.parametrize("tol", [1e308, sys.float_info.max])
+    def test_float_tol_whose_double_overflows_refused(self, two_phase, tol, start):
+        space, shift = two_phase
+        with pytest.raises(BadParamsError) as err:
+            solve(space, shift, 2, space.point_named(start), tol=tol)
+        assert str(err.value) == f"tol must be at most half the largest float, got {tol!r}"
+
+    def test_float_tol_of_half_the_largest_float_solves(self, two_phase):
+        space, shift = two_phase
+        sol = solve(space, shift, 2, space.x(1), tol=sys.float_info.max / 2)
+        assert (sol.period, sol.case) == (1, LimitCase.B_ALL_EQUAL)
 
     @pytest.mark.parametrize("tol", [10**400, Fraction(10**400, 3)])
     def test_exact_tol_past_the_float_range(self, two_phase, tol):
@@ -961,3 +1025,13 @@ class TestDivisors:
         assert divisors(1) == [1]
         assert divisors(6) == [1, 2, 3, 6]
         assert divisors(7) == [1, 7]
+
+    def test_equals_the_naive_list(self):
+        # every q <= N appended to each of its multiples, in increasing q
+        N = 5000
+        naive = [[] for _ in range(N + 1)]
+        for q in range(1, N + 1):
+            for m in range(q, N + 1, q):
+                naive[m].append(q)
+        for n in range(1, N + 1):
+            assert divisors(n) == naive[n]
