@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .analysis import Verdict, alpha_exact
 from .errors import require_int, require_kind
 from .maps import MapModel, TableMap
 from .solver import PeriodicSolution
@@ -69,9 +68,20 @@ def enumerate_periodic(
 
     # the verdict matters only when no periodic point was found
     divisor_ok = all(n % p == 0 for _, p in periodic) and (
-        bool(periodic) or alpha_exact(space, map_, n).verdict is not Verdict.CONTRACTION
+        bool(periodic) or not _contracts(space.scaled, image, n)
     )
     return OracleResult(tuple(periodic), tuple(orbits), divisor_ok)
+
+
+def _contracts(scaled: tuple, image: list, n: int) -> bool:
+    """``alpha_exact``'s verdict from the table alone: T^n, composed by
+    squaring, contracts iff d(T^n x, T^2n x) < d(x, T^n x) wherever T^n x != x."""
+    t, step = range(len(image)), image  # T^0, T^1
+    while n:
+        if n & 1:
+            t = list(map(step.__getitem__, t))
+        step, n = list(map(step.__getitem__, step)), n >> 1
+    return all(scaled[y][t[y]] < scaled[x][y] for x, y in enumerate(t) if y != x)
 
 
 def random_instance(seed: int, max_points: int) -> Tuple[FiniteSpace, TableMap]:

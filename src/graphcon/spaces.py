@@ -81,17 +81,23 @@ def as_fraction(value) -> Fraction:
 
 
 def _ratio_fields(entries: list):
-    """``[p, q, p, q, ...]`` read in one pass from entries that are all ASCII
-    ``"p/q"`` strings with ``q > 0``, or ``None`` for any other entries."""
+    """``(keys, [p, q, p, q, ...])``: the distinct entries in first-occurrence
+    order and their fields, read in one pass, when the entries are all ASCII
+    ``"p/q"`` strings with ``q > 0``; ``None`` for any other entries. Only a
+    matrix of exact ``str`` entries is deduplicated: a ``Fraction`` hashes in
+    Python, and a subclass may hash or compare as it likes."""
+    if set(map(type, entries)) != {str}:
+        return None
+    keys = list(dict.fromkeys(entries))  # a symmetric matrix repeats each entry
     try:
-        text = ",".join(entries)
+        text = ",".join(keys)
         skeleton = text.encode("ascii").translate(None, b"0123456789")
-        if skeleton != b"/," * (len(entries) - 1) + b"/":  # each entry leaves "/"
+        if skeleton != b"/," * (len(keys) - 1) + b"/":  # each entry leaves "/"
             return None
         fields = list(map(int, text.replace("/", ",").split(",")))
-    except (TypeError, ValueError):  # no str, not ASCII, or a field int() refuses
+    except ValueError:  # not ASCII, or a field int() refuses
         return None
-    return None if 0 in fields[1::2] else fields
+    return None if 0 in fields[1::2] else (keys, fields)
 
 
 def validate_finite(dist: Sequence[Sequence]) -> tuple:
@@ -109,8 +115,9 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     refuses raises its error; the first bad entry in row order decides.
 
     The matrix is read once into integers over one common denominator: a
-    matrix of ASCII ``"p/q"`` strings in one pass (``_ratio_fields``), any
-    other entry by entry in row order, an ``int`` as it is, an infinite or
+    matrix of ASCII ``"p/q"`` strings in one pass (``_ratio_fields``) that
+    reads and scales each distinct string once, any other matrix entry by
+    entry in row order, never hashed, an ``int`` as it is, an infinite or
     NaN float refused where it is met and the rest through ``as_fraction``.
     Every stage after finiteness compares those integers a row at a time
     at C level (``min(row)``, ``row.count(0)``, a row against its column);
@@ -130,9 +137,8 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
         if len(row) != n:
             raise NonSquareError(f"row {i} has {len(row)} entries, expected {n}", (i,))
     entries = list(chain.from_iterable(dist))
-    fields = _ratio_fields(entries)
-    if fields is None:
-        fields = []
+    keys, fields = _ratio_fields(entries) or (None, [])
+    if keys is None:
         for index, v in enumerate(entries):
             if type(v) is not int:  # an int has numerator and denominator already
                 if isinstance(v, float) and not math.isfinite(v):
@@ -149,6 +155,8 @@ def validate_finite(dist: Sequence[Sequence]) -> tuple:
     if common > 1:
         den //= common
         flat = [m // common for m in flat]
+    if keys is not None:  # each distinct string was read once; spread it back
+        flat = list(map(dict(zip(keys, flat)).__getitem__, entries))
     scaled = [tuple(flat[i : i + n]) for i in range(0, n * n, n)]
     for i, row in enumerate(scaled):
         if min(row) < 0:

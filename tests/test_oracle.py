@@ -1,6 +1,7 @@
 """Exhaustive enumeration, random instances, solver crosschecks."""
 
 import dataclasses
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from graphcon import oracle
 from graphcon import (
     BadParamsError,
+    FiniteSpace,
     TableMap,
     Verdict,
     alpha_exact,
@@ -107,11 +109,13 @@ class TestEnumeratePeriodic:
     def test_verdict_computed_only_without_periodic_points(self, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return alpha_exact(*args, **kwargs)
+        contracts = oracle._contracts
 
-        monkeypatch.setattr(oracle, "alpha_exact", counted)
+        def counted(*args):
+            calls.append(args)
+            return contracts(*args)
+
+        monkeypatch.setattr(oracle, "_contracts", counted)
         empty = found = 0
         for seed in range(30):
             space, map_ = random_instance(seed, 8)
@@ -186,6 +190,74 @@ class TestEnumeratePeriodic:
                 in_orbits = [p for cyc in res.orbits for p in cyc]
                 assert sorted(in_orbits) == sorted(listed)
                 assert len(in_orbits) == len(set(in_orbits))
+
+    def test_apply_only_map(self):
+        # the oracle reads the map through apply alone, the verdict too: on
+        # the 2-cycle no period divides order 1, where the verdict decides
+        class ApplyOnly:
+            def __init__(self, images):
+                self.apply = images.__getitem__
+
+        for space, images in [(unit_space(2), (1, 0)), witness()]:
+            for n in (1, 2, 3, 4, 10**12):
+                for full_scan in (False, True):
+                    got = enumerate_periodic(space, ApplyOnly(images), n, full_scan)
+                    table = TableMap(space, images)
+                    assert got == enumerate_periodic(space, table, n, full_scan)
+                    assert got == reference_enumerate(space, table, n, full_scan)
+
+    def test_verdict_is_the_alpha_exact_rule(self):
+        # the verdict composed from the table is alpha_exact's at every order,
+        # with or without periodic points, and the enumeration with it the
+        # reference one, which asks alpha_exact
+        contracting = refuted = 0
+        for seed in range(80):
+            space, map_ = random_instance(seed, 8)
+            for n in (*range(1, 9), 12, 10**12):
+                want = alpha_exact(space, map_, n).verdict is Verdict.CONTRACTION
+                assert oracle._contracts(space.scaled, list(map_.images), n) == want
+                contracting += want
+                refuted += not want
+                got = enumerate_periodic(space, map_, n)
+                assert got == reference_enumerate(space, map_, n)
+        assert contracting and refuted
+
+
+def witness():
+    """A 2-cycle a <-> b with the tail x3 -> x2 -> x1 -> a; every distance is
+    1 but d(x1, x3) = 2. At order 2 the map contracts with alpha_min 1/2 (at
+    x3) and has no fixed point: the finite analogue of Example 2.3."""
+    labels = ("a", "b", "x1", "x2", "x3")
+    dist = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
+    dist[2][4] = dist[4][2] = 2
+    space = FiniteSpace.from_rows(labels, dist)
+    return space, (1, 0, 0, 2, 3)
+
+
+class TestFivePointWitness:
+    def test_order_two_contracts_onto_the_two_cycle(self):
+        space, images = witness()
+        map_ = TableMap(space, images)
+        report = alpha_exact(space, map_, 2)
+        assert (report.verdict, report.alpha_min) == (Verdict.CONTRACTION, Fraction(1, 2))
+        assert report.witness is None
+        res = enumerate_periodic(space, map_, 2)
+        assert {space.labels[x]: p for x, p in res.periodic} == {"a": 2, "b": 2}
+        assert res.orbits == ((0, 1),) and res.divisor_ok
+        for start in space.points():
+            sol = solve(space, map_, 2, start)
+            assert sol.period == 2 and set(sol.cycle) == {0, 1}
+            assert crosscheck(space, map_, 2, sol).agree
+
+    def test_other_orders(self):
+        # an odd order swaps a and b; at order 4 every orbit reaches the
+        # cycle in one step of T^4, so the contraction is the trivial one
+        space, images = witness()
+        map_ = TableMap(space, images)
+        for n in (1, 3):
+            assert alpha_exact(space, map_, n).verdict is Verdict.NOT_CONTRACTION
+        report = alpha_exact(space, map_, 4)
+        assert (report.verdict, report.alpha_min) == (Verdict.CONTRACTION, 0)
 
 
 class TestRandomInstance:

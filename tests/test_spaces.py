@@ -197,6 +197,52 @@ def ratio_matrices(draw):
     return rows
 
 
+@st.composite
+def repeated_ratio_matrices(draw):
+    """``"p/q"`` matrices that repeat their strings: each pair's entry is
+    written once and mirrored as the same string or, at times, unreduced by
+    another factor ("1/2" beside "2/4"); the diagonal reuses one string;
+    half the matrices take every off-diagonal entry from the few strings
+    for 1 and 2; and up to two awkward entries are each written at up to
+    four places."""
+    if draw(st.booleans()):
+        dist = draw(planted_matrices())
+    else:  # a metric: every detour is at least 2
+        n = draw(st.integers(min_value=2, max_value=7))
+        dist = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i][j] = dist[j][i] = draw(st.integers(1, 2))
+    n = len(dist)
+
+    def written(v):
+        k = draw(st.integers(1, 3))
+        return f"{k * Fraction(v).numerator}/{k * Fraction(v).denominator}"
+
+    zero = draw(st.sampled_from(["0/1", "0/3", "00/7"]))
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = written(dist[i][j])
+            rows[j][i] = rows[i][j] if draw(st.booleans()) else written(dist[j][i])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        bad = draw(st.sampled_from(AWKWARD_ENTRIES))
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] = bad
+    return rows
+
+
+class HashRefused(Fraction):
+    def __hash__(self):
+        raise AssertionError("a non-str entry was hashed")
+
+
+class StrHashRefused(str):
+    def __hash__(self):
+        raise AssertionError("a non-str entry was hashed")
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """The entries ``validate_finite`` hands to ``as_fraction``, in call order."""
@@ -219,6 +265,22 @@ class TestValidateFinite:
         # the one-pass read and the per-entry read agree with a reader that
         # calls as_fraction on every entry, on the value or on the error
         assert read_outcome(validate_finite, dist) == read_outcome(reference_read, dist)
+
+    @given(repeated_ratio_matrices())
+    @example([["0/1", "1/2", "1/2"], ["2/4", "0/1", "1/2"], ["1/2", "2/4", "0/1"]])
+    # the same bad string at (0, 1) and (1, 0), and an earlier bad one at (0, 1)
+    @example([["0/1", "1/0"], ["1/0", "0/1"]])
+    @example([["0/1", "1/3", "1/0"], ["x", "0/1", "1/3"], ["1/0", "1/3", "0/1"]])
+    def test_distinct_strings_read_as_every_entry_is_read(self, dist):
+        # each distinct string is read once and spread back over its places;
+        # value, error type, indices and message match a per-entry read
+        assert read_outcome(validate_finite, dist) == read_outcome(reference_read, dist)
+
+    @pytest.mark.parametrize("kind", [HashRefused, StrHashRefused], ids=["fraction", "str"])
+    def test_entries_that_are_not_exact_str_never_hashed(self, kind):
+        # a matrix of anything but exact str keeps the per-entry read
+        half, zero = kind("1/2"), kind("0")
+        assert validate_finite([[zero, half], [half, zero]]) == (2, ((0, 1), (1, 0)))
 
     def test_ratio_string_matrix_read_in_one_pass(self, parsed):
         assert validate_finite([["0/1", "1/2"], ["2/4", "00/7"]]) == (2, ((0, 1), (1, 0)))
