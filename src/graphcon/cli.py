@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze", parents=[instance], help="minimal contraction constant per order"
     )
-    p.add_argument("--index-cap", type=int, default=200)
+    p.add_argument("--index-cap", type=int, default=analysis.DEFAULT_INDEX_CAP)
     p.add_argument("--emit-samples", action="store_true")
     p.set_defaults(fn=_cmd_analyze)
 

@@ -47,7 +47,7 @@ __all__ = [
     "PointRef",
 ]
 
-DEFAULT_INDEX_CAP = 10**6
+DEFAULT_MAX_INDEX = 10**6
 # Widest field, in bits, for which validate_finite checks the triangle
 # inequality on packed rows; a field holds the widest entry plus 2 bits.
 # Past it the packed sums cost more than the row scan they replace.
@@ -338,7 +338,7 @@ class SequenceSpace:
     family: SequenceFamily
     a: float
     b: float
-    max_index: int = DEFAULT_INDEX_CAP
+    max_index: int = DEFAULT_MAX_INDEX
     gap: Fraction = field(init=False, repr=False, compare=False)  # exact b - a
 
     def __post_init__(self):

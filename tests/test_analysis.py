@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphcon import (
     BadParamsError,
+    ClassCheck,
     ConsistencyViolationError,
     ContractionClass,
     FiniteSpace,
@@ -21,6 +22,7 @@ from graphcon import (
     Verdict,
     alpha_exact,
     alpha_sampled,
+    build_case,
     check_iterated_class,
     iterate,
     random_instance,
@@ -471,15 +473,27 @@ class TestIteratedClassCheck:
         res = check_iterated_class(space, ident, 1, ContractionClass.KANNAN, Fraction(2, 5))
         assert not res.holds
 
-    def test_bound_above_effective_constant_raises(self, banach_chain, monkeypatch):
-        import graphcon.analysis as analysis_mod
+    def test_class_check_never_runs_alpha_exact(self, monkeypatch):
+        # the ratio bound is a theorem, so deciding the class needs no ratio
+        def refuse(*args):
+            raise AssertionError("check_iterated_class ran alpha_exact")
 
-        space, map_ = banach_chain
-        monkeypatch.setattr(
-            analysis_mod, "alpha_exact", lambda *a: SimpleNamespace(alpha_min=Fraction(1))
-        )
-        with pytest.raises(ConsistencyViolationError):
-            check_iterated_class(space, map_, 1, ContractionClass.BANACH, Fraction(1, 2))
+        monkeypatch.setattr(analysis, "alpha_exact", refuse)
+        B, K, C = ContractionClass
+        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+        want = {  # (instance's class, checked class): (effective_alpha, tightest)
+            (B, B): (Fraction(1, 4), Fraction(1, 12)),
+            (B, K): (third, Fraction(1, 15)),
+            (B, C): (third, Fraction(1, 16)),
+            **{(inst, cls): (two_thirds, 0) for inst in (K, C) for cls in (K, C)},
+            (K, B): (Fraction(2, 5), 0),
+            (C, B): (Fraction(2, 5), 0),
+        }
+        for inst in build_case("example_2_5").class_instances:
+            for cls in ContractionClass:
+                got = check_iterated_class(inst.space, inst.map_, inst.order, cls, inst.alpha)
+                effective, tightest = want[inst.class_name, cls]
+                assert got == ClassCheck(cls, 2, inst.alpha, True, None, effective, tightest)
 
     def test_alpha_range_validated(self, banach_chain):
         space, map_ = banach_chain
@@ -534,6 +548,8 @@ class TestIntegerClassCheckMatchesFractionReference:
                         got = check_iterated_class(space, map_, n, cls, alpha)
                         want = reference_class_check(space, map_, n, cls, alpha)
                         assert (got.holds, got.witness, got.tightest) == want
+                        if got.holds:  # the ratio bound the class implies
+                            assert alpha_exact(space, map_, n).alpha_min <= got.effective_alpha
                         outcomes[cls].add((got.holds, got.tightest is None))
         for cls in ContractionClass:  # holds and fails, informative or not
             assert {(True, False), (False, False)} <= outcomes[cls]
