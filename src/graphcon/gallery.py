@@ -13,8 +13,8 @@ Case ids (wire format):
   them and cycles the other three. Order 6 contracts trivially; periodic
   points of periods 2 and 3 live in disjoint orbits.
 * ``example_2_3``: two-phase sequence family with the shift map. Order 1
-  is inconclusive by sampling (ratios approach 1), order 2 contracts with
-  minimal alpha 1/4; the anchors form the period-2 cycle.
+  is inconclusive (the ratio at the anchors is exactly 1; a sampled ratio
+  refutes only above 1), order 2 contracts with minimal alpha 1/4; (a, b) is the 2-cycle.
 * ``example_2_4``: four-phase family. Orders 1 to 3 fail, order 4
   contracts with minimal alpha 1/2, and the limit pattern (a, b, a, b)
   collapses to period 2.
@@ -33,7 +33,7 @@ from . import analysis, oracle, solver
 from .analysis import ContractionClass
 from .errors import GraphconError, UnknownIdError
 from .maps import MapModel, ShiftMap, TableMap, prime_period
-from .spaces import FiniteSpace, SequenceFamily, SequenceSpace, SpaceModel
+from .spaces import FiniteSpace, SequenceSpace, SpaceModel
 
 __all__ = [
     "GALLERY_IDS",
@@ -106,8 +106,8 @@ def build_case(case_id: str, a: float = 0.0, b: float = 1.0) -> GalleryCase:
         map_ = _table_map("x", (1, 0, 3, 4, 2))  # x1 <-> x2, x3 -> x4 -> x5 -> x3
         return GalleryCase(case_id, None, map_.space, map_, ())
     if case_id in ("example_2_3", "example_2_4"):
-        space = SequenceSpace(SequenceFamily(case_id), float(a), float(b))
-        return GalleryCase(case_id, Anchors(float(a), float(b)), space, ShiftMap(space), ())
+        space = SequenceSpace(case_id, a, b)
+        return GalleryCase(case_id, Anchors(space.a, space.b), space, ShiftMap(space), ())
     if case_id == "example_2_5":
         return GalleryCase(case_id, None, None, None, _class_instances())
     raise UnknownIdError(f"no gallery case {case_id!r}")

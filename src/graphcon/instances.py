@@ -16,7 +16,8 @@ sequence-space family with the shift map::
 
     {"kind": "gallery", "id": "example_2_3", "params": {"a": 0, "b": 1}}
 
-Valid family ids are "example_2_3" and "example_2_4".
+``instance_from_dict`` checks a document's shape and its distance-entry syntax
+(``InstanceFormatError``); ``SequenceSpace`` and ``FiniteSpace`` check the values.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Tuple
 
 from .errors import InstanceFormatError
 from .maps import MapModel, ShiftMap, TableMap
-from .spaces import FiniteSpace, SequenceFamily, SequenceSpace, SpaceModel
+from .spaces import FiniteSpace, SequenceSpace, SpaceModel
 
 __all__ = ["instance_from_dict", "load_instance", "point_json"]
 
@@ -61,28 +62,16 @@ def _finite_from_dict(doc: dict) -> Tuple[FiniteSpace, TableMap]:
 
 
 def _gallery_from_dict(doc: dict) -> Tuple[SequenceSpace, ShiftMap]:
-    family_id = doc.get("id")
-    try:
-        family = SequenceFamily(family_id)
-    except ValueError:
-        raise InstanceFormatError(
-            f"unknown sequence family {family_id!r}; expected one of "
-            f"{[f.value for f in SequenceFamily]}"
-        ) from None
-    params = doc.get("params", {})
-    try:
-        a, b = params["a"], params["b"]
-        numeric = type(a) is not bool and type(b) is not bool  # float(True) is 1.0
-        a, b = float(a), float(b)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        numeric = False
-    if not numeric:
-        raise InstanceFormatError("gallery instance needs numeric params a and b")
-    space = SequenceSpace(family, a, b)
+    params = doc.get("params")
+    if not (isinstance(params, dict) and "a" in params and "b" in params):
+        raise InstanceFormatError("gallery instance needs 'params' as an object with a and b")
+    space = SequenceSpace(doc.get("id"), params["a"], params["b"])
     return space, ShiftMap(space)
 
 
 def instance_from_dict(doc: dict) -> Tuple[SpaceModel, MapModel]:
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("instance document must be a JSON object")
     kind = doc.get("kind")
     if kind == "finite":
         return _finite_from_dict(doc)
@@ -100,8 +89,6 @@ def load_instance(path) -> Tuple[SpaceModel, MapModel]:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("instance document must be a JSON object")
     return instance_from_dict(doc)
 
 

@@ -250,8 +250,11 @@ class FiniteSpace:
             raise NonSquareError(f"{len(labels)} labels but {len(dist)} rows", ())
         if not labels:
             raise BadParamsError("a finite space needs at least one point")
-        if len(set(labels)) != len(labels):
-            raise BadParamsError("point labels must be distinct")
+        try:
+            if len(set(labels)) != len(labels):
+                raise BadParamsError("point labels must be distinct")
+        except TypeError:  # set() hashes each label
+            raise BadParamsError("point labels must be hashable") from None
         den, scaled = validate_finite(dist)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scaled", scaled)
@@ -331,8 +334,9 @@ class SequenceSpace:
 
     Only the generating formulas are stored; points materialize on demand
     through :meth:`x`, up to ``max_index``. The anchors a and b are exact
-    members (they are the accumulation points of the family); they must be
-    finite, with a < b and b - a a finite float.
+    members (they are the accumulation points of the family). Construction
+    is the one check of a family id and anchors, which instance files and the
+    gallery pass as given: a, b and b - a finite, no bool, a < b; ints stay exact.
     """
 
     family: SequenceFamily

@@ -48,6 +48,18 @@ class TestBuildCase:
         with pytest.raises(BadParamsError):
             build_case("example_2_4", a=1.0, b=1.0)
 
+    @pytest.mark.parametrize("a, b", [(True, 2), ("0", "1"), (0, 10**400)],
+                             ids=["bool", "strings", "past-float-range"])
+    def test_anchors_are_passed_as_given(self, a, b):
+        # no float() first: True would run as 1.0 and "0" as 0.0
+        with pytest.raises(BadParamsError, match="need finite real anchors"):
+            run_gallery("example_2_3", a=a, b=b)
+
+    def test_integer_anchors_stay_exact(self):
+        case = build_case("example_2_4", a=0, b=2**53 + 1)
+        assert case.params == Anchors(0, 2**53 + 1)
+        assert case.space.distance(case.space.a_point, case.space.b_point) == 2**53 + 1
+
 
 CHECK_NAMES = {
     "example_2_2": [

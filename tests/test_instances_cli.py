@@ -107,14 +107,50 @@ class TestInstanceParsing:
             instance_from_dict(doc)
 
     def test_unknown_gallery_family(self):
-        with pytest.raises(InstanceFormatError):
-            instance_from_dict({"kind": "gallery", "id": "example_9_9", "params": {"a": 0, "b": 1}})
+        # the id is SequenceSpace's to check, as it is for every other caller
+        doc = {"kind": "gallery", "id": "example_9_9", "params": {"a": 0, "b": 1}}
+        with pytest.raises(BadParamsError, match="unknown sequence family 'example_9_9'"):
+            instance_from_dict(doc)
+
+    def test_missing_gallery_family(self):
+        doc = {"kind": "gallery", "params": {"a": 0, "b": 1}}
+        with pytest.raises(BadParamsError, match="unknown sequence family None; expected one of"):
+            instance_from_dict(doc)
 
     def test_bad_gallery_params(self):
         with pytest.raises(BadParamsError):
             instance_from_dict({"kind": "gallery", "id": "example_2_3", "params": {"a": 2, "b": 1}})
         with pytest.raises(InstanceFormatError):
             instance_from_dict({"kind": "gallery", "id": "example_2_3", "params": {"a": 0}})
+
+    @pytest.mark.parametrize("extra", [{}, {"params": [0, 1]}, {"params": "a=0,b=1"}],
+                             ids=["missing", "list", "string"])
+    def test_gallery_params_must_be_an_object_with_a_and_b(self, extra):
+        doc = {"kind": "gallery", "id": "example_2_3", **extra}
+        with pytest.raises(InstanceFormatError, match="'params' as an object with a and b"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"a": "0", "b": "1"}, {"a": 0, "b": "1"}, {"a": True, "b": 2}, {"a": 0, "b": 10**400},
+         {"a": 0, "b": float("nan")}, {"a": 0, "b": float("inf")}],
+        ids=["strings", "string-b", "bool", "past-float-range", "nan", "inf"],
+    )
+    def test_bad_anchor_is_refused_by_the_space(self, params):
+        doc = {"kind": "gallery", "id": "example_2_3", "params": params}
+        with pytest.raises(BadParamsError):
+            instance_from_dict(doc)
+
+    def test_integer_anchors_stay_exact(self, tmp_path):
+        # float() would round 2^53 + 1 to 2^53
+        doc = {"kind": "gallery", "id": "example_2_3", "params": {"a": 0, "b": 2**53 + 1}}
+        space, _ = load_instance(write_doc(tmp_path, doc))
+        assert space.distance(space.a_point, space.b_point) == 2**53 + 1
+
+    @pytest.mark.parametrize("doc", [[1], "gallery", None], ids=["list", "string", "null"])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(InstanceFormatError, match="must be a JSON object"):
+            instance_from_dict(doc)
 
     def test_load_from_file(self, tmp_path):
         path = write_doc(tmp_path, FIVE_SWAP_DOC)
@@ -480,12 +516,21 @@ class TestCliBadInput:
 
     @pytest.mark.parametrize("params", [{"a": True, "b": 2}, {"a": 0, "b": False}])
     def test_boolean_anchor(self, tmp_path, capsys, params):
-        # float(True) is 1.0, but a JSON true is no number
+        # float(True) is 1.0, but a JSON true is no number; SequenceSpace refuses it
         path = write_doc(tmp_path, dict(TWO_PHASE_DOC, params=params))
         code, doc, _ = run_cli(capsys, ["analyze", "--input", path, "--order", "2"])
         assert code == 1
-        assert doc["error"]["type"] == "InstanceFormatError"
-        assert "needs numeric params" in doc["error"]["message"]
+        assert doc["error"]["type"] == "BadParamsError"
+        assert doc["error"]["message"].startswith("need finite real anchors")
+
+    def test_string_anchors(self, tmp_path, capsys):
+        path = write_doc(tmp_path, dict(TWO_PHASE_DOC, params={"a": "0", "b": "1"}))
+        code, doc, _ = run_cli(capsys, ["analyze", "--input", path, "--order", "2"])
+        assert code == 1
+        assert doc["error"] == {
+            "type": "BadParamsError",
+            "message": "need finite real anchors and a finite gap b - a, got a='0', b='1'",
+        }
 
 
     @pytest.mark.parametrize("command", ["analyze", "oracle"])

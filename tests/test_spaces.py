@@ -608,6 +608,13 @@ class TestFiniteSpace:
         with pytest.raises(BadParamsError):
             FiniteSpace.from_rows(["a", "a"], [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("labels", [[["a"], ["b"]], [("a", ["b"]), "c"]],
+                             ids=["lists", "tuple-holding-a-list"])
+    def test_unhashable_labels_rejected(self, labels):
+        # set() would raise a builtin TypeError
+        with pytest.raises(BadParamsError, match="point labels must be hashable"):
+            FiniteSpace(labels, ((0, 1), (1, 0)))
+
     def test_empty_space_rejected(self):
         with pytest.raises(BadParamsError):
             FiniteSpace((), ())
